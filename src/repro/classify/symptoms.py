@@ -196,6 +196,33 @@ class SymptomTracker:
     trace; that function is now a replay wrapper around this class.
     """
 
+    #: the event kinds :meth:`on_event` acts on; a pipeline delivers only
+    #: these (see :attr:`repro.detect.online.OnlineDetector.kinds`)
+    kinds = frozenset(
+        {
+            EventKind.CALL_BEGIN,
+            EventKind.CALL_END,
+            EventKind.MONITOR_WAIT,
+            EventKind.MONITOR_NOTIFIED,
+            EventKind.INTERRUPT,
+            EventKind.MONITOR_RELEASE,
+            EventKind.MONITOR_ACQUIRE,
+            EventKind.READ,
+            EventKind.WRITE,
+            EventKind.NOTIFY,
+            EventKind.NOTIFY_ALL,
+            EventKind.SEM_REQUEST,
+            EventKind.RW_REQUEST,
+            EventKind.SEM_ACQUIRE,
+            EventKind.RW_ACQUIRE,
+            EventKind.RW_DOWNGRADE,
+            EventKind.WAIT_TIMEOUT,
+            EventKind.BARRIER_AWAIT,
+            EventKind.BARRIER_RESUME,
+            EventKind.BARRIER_BROKEN,
+        }
+    )
+
     def __init__(self) -> None:
         # thread -> stack of open (component, method) calls; top = innermost
         self._open_calls: Dict[str, List[Tuple[str, str]]] = {}

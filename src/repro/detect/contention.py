@@ -146,6 +146,33 @@ class OnlineContentionProfiler(OnlineDetector):
     """
 
     name = "contention"
+    #: every kind the kernel emits with a ``monitor`` name: each one
+    #: creates the monitor's profile (report order is first-seen order),
+    #: even the kinds whose counters this profiler does not keep.
+    kinds = frozenset(
+        {
+            EventKind.MONITOR_REQUEST,
+            EventKind.MONITOR_ACQUIRE,
+            EventKind.MONITOR_WAIT,
+            EventKind.MONITOR_RELEASE,
+            EventKind.MONITOR_NOTIFIED,
+            EventKind.NOTIFY,
+            EventKind.NOTIFY_ALL,
+            EventKind.SPURIOUS_WAKEUP,
+            EventKind.WAIT_TIMEOUT,
+            EventKind.SEM_REQUEST,
+            EventKind.SEM_ACQUIRE,
+            EventKind.SEM_RELEASE,
+            EventKind.RW_REQUEST,
+            EventKind.RW_ACQUIRE,
+            EventKind.RW_RELEASE,
+            EventKind.RW_DOWNGRADE,
+            EventKind.BARRIER_AWAIT,
+            EventKind.BARRIER_TRIP,
+            EventKind.BARRIER_RESUME,
+            EventKind.BARRIER_BROKEN,
+        }
+    )
 
     def __init__(self) -> None:
         self.report = ContentionReport()

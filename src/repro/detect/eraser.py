@@ -166,6 +166,15 @@ class OnlineLocksetDetector(OnlineDetector):
     """
 
     name = "lockset"
+    kinds = frozenset(
+        {
+            EventKind.MONITOR_ACQUIRE,
+            EventKind.MONITOR_RELEASE,
+            EventKind.MONITOR_WAIT,
+            EventKind.READ,
+            EventKind.WRITE,
+        }
+    )
 
     def __init__(self) -> None:
         self.detector = LocksetDetector()

@@ -101,6 +101,9 @@ class OnlineLockGraphDetector(OnlineDetector):
         EventKind.SEM_RELEASE,
         EventKind.RW_RELEASE,
     )
+    kinds = frozenset(
+        (*_REQUEST_KINDS, *_GRANT_KINDS, *_RELEASE_KINDS, EventKind.MONITOR_WAIT)
+    )
 
     def on_event(self, event: Event) -> None:
         stack = self._held.setdefault(event.thread, [])

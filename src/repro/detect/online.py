@@ -8,15 +8,21 @@ demand (``finish``); the batch entry points (``detect_races``,
 stored trace through the online form, so there is exactly one
 implementation of each analysis.
 
-:class:`DetectorPipeline` bundles the seven detectors plus the VM-level
-:class:`~repro.classify.symptoms.SymptomTracker` behind a single event
-sink that plugs into :meth:`repro.vm.kernel.Kernel.subscribe`.  With the
-kernel's ``trace_mode="none"``, a run's memory footprint drops from
-O(events) to O(detector state) while the pipeline still sees every event
-— this is what lets :mod:`repro.engine` campaigns afford full detection
-on every run.  A pipeline finding that is already *permanent* (a
-wait-for cycle among blocked threads) may abort the run early via
-:meth:`~repro.vm.kernel.Kernel.request_abort` instead of burning steps.
+:class:`DetectorPipeline` plugs the seven detectors plus the VM-level
+:class:`~repro.classify.symptoms.SymptomTracker` into
+:meth:`repro.vm.kernel.Kernel.subscribe`.  Each consumer declares the
+event kinds it acts on (:attr:`OnlineDetector.kinds`) and is subscribed
+kind-filtered, so an event reaches only the consumers that use it — a
+READ reaches the lockset and HB detectors and the symptom tracker, not
+all eight.  With the kernel's ``trace_mode="none"``, a run's memory
+footprint drops from O(events) to O(detector state) while every consumer
+still sees every event of its kinds — this is what lets
+:mod:`repro.engine` campaigns afford full detection on every run.  A
+finding that is already *permanent* (a wait-for cycle among blocked
+threads) may abort the run early via
+:meth:`~repro.vm.kernel.Kernel.request_abort` instead of burning steps;
+only detectors that declare :attr:`OnlineDetector.can_abort` are polled,
+and only after events routed to them.
 
 Import discipline: the concrete detector modules import this one (for
 :class:`OnlineDetector` / :func:`replay`), so this module must only
@@ -31,6 +37,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -39,7 +46,7 @@ from typing import (
 )
 
 from repro.classify.symptoms import SymptomTracker
-from repro.vm.events import Event
+from repro.vm.events import Event, EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vm.kernel import Kernel, RunResult
@@ -69,10 +76,22 @@ class OnlineDetector:
     it must only return a reason for findings that are already permanent
     — aborting cannot un-happen an event, but a transient condition would
     make the early-stopped run diverge from the natural one.
+
+    :attr:`kinds` and :attr:`can_abort` let a pipeline skip calls that
+    cannot matter: events of other kinds are never delivered, and
+    :meth:`abort_reason` is polled only when ``can_abort`` is set.  A
+    detector that declares ``kinds`` must give the same :meth:`finish`
+    whether it is fed only those kinds or every event — side effects
+    count, so a kind whose only effect is creating per-monitor state
+    belongs in the set.
     """
 
     #: Stable key identifying the detector's findings in pipeline output.
     name: str = "detector"
+    #: Event kinds :meth:`on_event` acts on; None means every kind.
+    kinds: Optional[FrozenSet[EventKind]] = None
+    #: Whether :meth:`abort_reason` can ever return a reason.
+    can_abort: bool = False
 
     def on_event(self, event: Event) -> None:
         raise NotImplementedError
@@ -205,7 +224,8 @@ class DetectionSummary:
 
 
 class DetectorPipeline:
-    """A set of online detectors behind one kernel event sink.
+    """A set of online detectors plus the symptom tracker, each
+    subscribed to a kernel for the event kinds it declares.
 
     Args:
         detectors: the detectors to run; defaults to
@@ -233,14 +253,50 @@ class DetectorPipeline:
         self.early_stop = early_stop
         #: the abort reason this pipeline raised, if any
         self.aborted: Optional[str] = None
-        self.events_seen = 0
         self._kernel: Optional["Kernel"] = None
+        self._seq_start = 0
+
+    @property
+    def events_seen(self) -> int:
+        """Events the attached kernel has emitted since :meth:`attach`."""
+        if self._kernel is None:
+            return 0
+        return self._kernel.events_emitted - self._seq_start
 
     def attach(self, kernel: "Kernel") -> "DetectorPipeline":
-        """Subscribe to a kernel's event bus; returns self for chaining."""
+        """Subscribe each consumer to the kinds it declares; returns self
+        for chaining.
+
+        Routes are built from :attr:`detectors` here, not at
+        construction, so a caller may swap detectors (e.g. for timing
+        wrappers) in between.
+        """
         self._kernel = kernel
-        kernel.subscribe(self.on_event)
+        self._seq_start = kernel.events_emitted
+        kernel.subscribe(self.symptoms.on_event, self.symptoms.kinds)
+        for detector in self.detectors:
+            sink = detector.on_event
+            if self.early_stop and detector.can_abort:
+                sink = self._polling(detector, kernel)
+            kernel.subscribe(sink, detector.kinds)
         return self
+
+    def _polling(
+        self, detector: OnlineDetector, kernel: "Kernel"
+    ) -> Callable[[Event], None]:
+        """``detector.on_event`` followed by an :meth:`abort_reason` poll,
+        until some detector has aborted the run."""
+        on_event = detector.on_event
+
+        def sink(event: Event) -> None:
+            on_event(event)
+            if self.aborted is None:
+                reason = detector.abort_reason()
+                if reason is not None:
+                    self.aborted = reason
+                    kernel.request_abort(reason)
+
+        return sink
 
     def reset(self) -> "DetectorPipeline":
         """Reset every detector and the symptom tracker for the next run
@@ -250,23 +306,9 @@ class DetectorPipeline:
             detector.reset()
         self.symptoms.reset()
         self.aborted = None
-        self.events_seen = 0
         self._kernel = None
+        self._seq_start = 0
         return self
-
-    def on_event(self, event: Event) -> None:
-        self.events_seen += 1
-        self.symptoms.on_event(event)
-        for detector in self.detectors:
-            detector.on_event(event)
-        if self.early_stop and self.aborted is None:
-            for detector in self.detectors:
-                reason = detector.abort_reason()
-                if reason is not None:
-                    self.aborted = reason
-                    if self._kernel is not None:
-                        self._kernel.request_abort(reason)
-                    break
 
     def findings(self) -> Dict[str, Any]:
         """Raw findings keyed by detector name."""

@@ -107,6 +107,20 @@ class OnlineReentryDetector(OnlineDetector):
     """
 
     name = "reentry"
+    kinds = frozenset(
+        {
+            EventKind.CALL_BEGIN,
+            EventKind.CALL_END,
+            EventKind.READ,
+            EventKind.WRITE,
+            EventKind.MONITOR_WAIT,
+            EventKind.MONITOR_NOTIFIED,
+            EventKind.SPURIOUS_WAKEUP,
+            EventKind.MONITOR_RELEASE,
+            EventKind.THREAD_END,
+            EventKind.THREAD_CRASH,
+        }
+    )
 
     def __init__(self) -> None:
         self._frames: Dict[str, List[_Frame]] = {}

@@ -114,6 +114,18 @@ class OnlineHbDetector(OnlineDetector):
     """Streaming vector-clock race detection (FastTrack-style)."""
 
     name = "hb"
+    kinds = frozenset(
+        {
+            EventKind.MONITOR_ACQUIRE,
+            EventKind.MONITOR_RELEASE,
+            EventKind.MONITOR_WAIT,
+            EventKind.NOTIFY,
+            EventKind.NOTIFY_ALL,
+            EventKind.MONITOR_NOTIFIED,
+            EventKind.READ,
+            EventKind.WRITE,
+        }
+    )
 
     def __init__(self, max_reports: int = 100) -> None:
         self.max_reports = max_reports

@@ -143,6 +143,30 @@ class OnlineWaitGraphDetector(OnlineDetector):
     """
 
     name = "waitgraph"
+    kinds = frozenset(
+        {
+            EventKind.MONITOR_REQUEST,
+            EventKind.MONITOR_ACQUIRE,
+            EventKind.MONITOR_RELEASE,
+            EventKind.MONITOR_WAIT,
+            EventKind.MONITOR_NOTIFIED,
+            EventKind.SEM_REQUEST,
+            EventKind.SEM_ACQUIRE,
+            EventKind.SEM_RELEASE,
+            EventKind.RW_REQUEST,
+            EventKind.RW_ACQUIRE,
+            EventKind.RW_DOWNGRADE,
+            EventKind.RW_RELEASE,
+            EventKind.BARRIER_AWAIT,
+            EventKind.BARRIER_RESUME,
+            EventKind.BARRIER_BROKEN,
+            EventKind.WAIT_TIMEOUT,
+            EventKind.INTERRUPT,
+            EventKind.THREAD_END,
+            EventKind.THREAD_CRASH,
+        }
+    )
+    can_abort = True
 
     def __init__(self) -> None:
         self.state = WaitForState()

@@ -27,7 +27,7 @@ import json
 import multiprocessing
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
@@ -35,6 +35,7 @@ from repro.obs.live.frames import TelemetryFrame
 from repro.obs.metrics import Counter as MetricsCounter
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.run.config import DETECTOR_ORDER, RunConfig, RunConfigError, _coerce_faults
+from repro.run.executor import RunExecutor
 from repro.testing.explorer import RunSummary, wilson_interval
 from repro.vm.kernel import RunStatus
 
@@ -515,6 +516,10 @@ class _Aggregator:
         self.live = live
         self.result = CampaignResult(spec=spec)
         self._seen: set = set()
+        #: goal flags folded in by merge(), so goal_reached() is O(1)
+        #: instead of a rescan of every retained summary
+        self._any_failure = False
+        self._any_deadlock = False
         if spec.metrics:
             self.result.metrics = MetricsRegistry()
         if spec.coverage:
@@ -543,6 +548,12 @@ class _Aggregator:
         else:
             self._seen.add(key)
             self.result.summaries.append(summary)
+            if not summary.ok:
+                self._any_failure = True
+            if summary.status == RunStatus.DEADLOCK.value or (
+                summary.detection or {}
+            ).get("deadlock_cycle"):
+                self._any_deadlock = True
             for code in summary.detected_classes:
                 self.result.class_counts[code] += 1
                 self.progress.classes[code] += 1
@@ -577,15 +588,9 @@ class _Aggregator:
             )
 
     def goal_reached(self) -> Optional[str]:
-        if self.spec.goal == "first-failure" and any(
-            not s.ok for s in self.result.summaries
-        ):
+        if self.spec.goal == "first-failure" and self._any_failure:
             return "first-failure"
-        if self.spec.goal == "first-deadlock" and any(
-            s.status == RunStatus.DEADLOCK.value
-            or (s.detection or {}).get("deadlock_cycle")
-            for s in self.result.summaries
-        ):
+        if self.spec.goal == "first-deadlock" and self._any_deadlock:
             return "first-deadlock"
         if (
             self.spec.goal == "coverage"
@@ -603,9 +608,20 @@ def _plan(spec: CampaignSpec):
             spec.mode, spec.budget, spec.shard_size, spec.seed_start
         )
         return shards, [], False
-    # build_factory (not bare resolve_factory): template workloads need
-    # their component paired in before the planner can run them
-    factory = spec.run_config().build_factory()
+    # Plan over the program the shards run: the executor pairs template
+    # workloads with their component and applies the fault plan and the
+    # spurious rate, all of which shape the decision tree.  The planner's
+    # runs stay unobserved (no detection, metrics or coverage), as the
+    # shard prefixes only need the tree.
+    factory = RunExecutor(
+        replace(
+            spec.run_config(),
+            detect=(),
+            trace_mode="full",
+            metrics=False,
+            coverage=None,
+        )
+    )
     n_shards = max(1, spec.budget // spec.shard_size)
     plan = plan_systematic_shards(
         factory,

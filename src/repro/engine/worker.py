@@ -27,7 +27,6 @@ from repro.obs.live.frames import TelemetryFrame
 from repro.run.config import RunConfig
 from repro.run.executor import (  # noqa: F401 - re-exported for backcompat
     RunExecutor,
-    RunTimeoutInterrupt,
     timed_runner as _timed_runner,
 )
 from repro.testing.explorer import ExplorationRun, RunSummary

@@ -68,6 +68,12 @@ class Metric:
     def merge(self, other: "Metric") -> None:
         raise NotImplementedError
 
+    def _fold(self, series: Dict[LabelSet, Any]) -> None:
+        """Fold another metric's series (label set -> value) into this
+        one; the shared core of :meth:`merge` and
+        :meth:`MetricsRegistry.merge_snapshot`."""
+        raise NotImplementedError
+
     def to_dict(self) -> Dict[str, Any]:
         raise NotImplementedError
 
@@ -116,7 +122,10 @@ class Counter(Metric):
 
     def merge(self, other: "Metric") -> None:
         assert isinstance(other, Counter)
-        for key, value in other._series.items():
+        self._fold(other._series)
+
+    def _fold(self, series: Dict[LabelSet, float]) -> None:
+        for key, value in series.items():
             self._series[key] = self._series.get(key, 0) + value
 
     def to_dict(self) -> Dict[str, Any]:
@@ -174,7 +183,10 @@ class Gauge(Metric):
 
     def merge(self, other: "Metric") -> None:
         assert isinstance(other, Gauge)
-        for key, value in other._series.items():
+        self._fold(other._series)
+
+    def _fold(self, series: Dict[LabelSet, float]) -> None:
+        for key, value in series.items():
             if key in self._series:
                 self._series[key] = self._combine(self._series[key], value)
             else:
@@ -254,11 +266,17 @@ class Histogram(Metric):
 
     def merge(self, other: "Metric") -> None:
         assert isinstance(other, Histogram)
-        if other.buckets != self.buckets:
+        self._check_buckets(other.buckets)
+        self._fold(other._series)
+
+    def _check_buckets(self, buckets: Tuple[float, ...]) -> None:
+        if buckets != self.buckets:
             raise ValueError(
                 f"cannot merge histogram {self.name!r}: bucket bounds differ"
             )
-        for key, theirs in other._series.items():
+
+    def _fold(self, series: Dict[LabelSet, _HistSeries]) -> None:
+        for key, theirs in series.items():
             mine = self._series.get(key)
             if mine is None:
                 self._series[key] = _HistSeries(
@@ -353,7 +371,35 @@ class MetricsRegistry:
                 mine.merge(metric)
 
     def merge_snapshot(self, snapshot: "MetricsSnapshot") -> None:
-        self.merge(snapshot.to_registry())
+        """Fold a snapshot's series rows straight into this registry.
+
+        The result equals ``self.merge(snapshot.to_registry())`` — a
+        metric new to this registry gets its series in label order, as a
+        merge through ``to_dict`` leaves them — without building the
+        throwaway registry and metric objects.
+        """
+        # a later payload of the same name replaces an earlier one, as in
+        # to_registry
+        payloads = {str(payload["name"]): payload for payload in snapshot.metrics}
+        for name, payload in payloads.items():
+            mine = self._metrics.get(name)
+            if mine is None:
+                metric = _empty_metric(payload)
+                metric._series = dict(  # type: ignore[attr-defined]
+                    sorted(_series_from_dict(payload).items())
+                )
+                self._metrics[name] = metric
+                continue
+            if mine.kind != payload.get("type"):
+                raise ValueError(
+                    f"cannot merge {payload.get('type')} {name!r} into a "
+                    f"{mine.kind}"
+                )
+            if isinstance(mine, Histogram):
+                mine._check_buckets(
+                    tuple(sorted(payload.get("buckets", DEFAULT_BUCKETS)))
+                )
+            mine._fold(_series_from_dict(payload))
 
     def snapshot(self) -> "MetricsSnapshot":
         return MetricsSnapshot(
@@ -368,33 +414,47 @@ class MetricsRegistry:
         return MetricsSnapshot.from_dict(payload).to_registry()
 
 
-def _metric_from_dict(payload: Dict[str, Any]) -> Metric:
+def _empty_metric(payload: Dict[str, Any]) -> Metric:
+    """A series-less metric of the payload's type, name and settings."""
     kind = payload.get("type")
     name = str(payload.get("name", ""))
     help_text = str(payload.get("help", ""))
     if kind == "counter":
-        counter = Counter(name, help_text)
-        for row in payload.get("series", ()):
-            counter.inc(row["value"], **row.get("labels", {}))
-        return counter
+        return Counter(name, help_text)
     if kind == "gauge":
-        gauge = Gauge(name, help_text, agg=str(payload.get("agg", "max")))
-        for row in payload.get("series", ()):
-            gauge.set(row["value"], **row.get("labels", {}))
-        return gauge
+        return Gauge(name, help_text, agg=str(payload.get("agg", "max")))
     if kind == "histogram":
-        histogram = Histogram(
+        return Histogram(
             name, help_text, buckets=payload.get("buckets", DEFAULT_BUCKETS)
         )
-        for row in payload.get("series", ()):
-            key = _labelset(row.get("labels", {}))
-            histogram._series[key] = _HistSeries(
+    raise ValueError(f"unknown metric type {kind!r} for {name!r}")
+
+
+def _series_from_dict(payload: Dict[str, Any]) -> Dict[LabelSet, Any]:
+    """A payload's series rows by label set, in row order.  Rows that
+    share a label set resolve as when recorded one by one: counters add
+    up, gauges and histograms keep the last row."""
+    kind = payload.get("type")
+    series: Dict[LabelSet, Any] = {}
+    for row in payload.get("series", ()):
+        key = _labelset(row.get("labels", {}))
+        if kind == "counter":
+            series[key] = series.get(key, 0) + row["value"]
+        elif kind == "gauge":
+            series[key] = row["value"]
+        else:
+            series[key] = _HistSeries(
                 counts=[int(c) for c in row["counts"]],
                 sum=float(row.get("sum", 0.0)),
                 count=int(row.get("count", 0)),
             )
-        return histogram
-    raise ValueError(f"unknown metric type {kind!r} for {name!r}")
+    return series
+
+
+def _metric_from_dict(payload: Dict[str, Any]) -> Metric:
+    metric = _empty_metric(payload)
+    metric._series = _series_from_dict(payload)  # type: ignore[attr-defined]
+    return metric
 
 
 @dataclass(frozen=True)

@@ -37,16 +37,20 @@ __all__ = ["TimedDetector", "ProfileReport", "profile_workload"]
 class TimedDetector(OnlineDetector):
     """Wrap an online detector, metering its ``on_event`` wall time.
 
-    Delegates the whole :class:`OnlineDetector` protocol; accumulates
-    ``wall_seconds`` / ``events`` so the profiler can attribute detector
-    cost per analysis.  Timing uses ``perf_counter`` around each call —
-    meaningful for *relative* breakdowns, which is all the profiler
-    reports.
+    Delegates the whole :class:`OnlineDetector` protocol, routing
+    declarations included (``kinds``, ``can_abort``), so a pipeline
+    delivers the wrapper exactly the events it would deliver the inner
+    detector; accumulates ``wall_seconds`` / ``events`` so the profiler
+    can attribute detector cost per analysis.  Timing uses
+    ``perf_counter`` around each call — meaningful for *relative*
+    breakdowns, which is all the profiler reports.
     """
 
     def __init__(self, inner: OnlineDetector) -> None:
         self.inner = inner
         self.name = inner.name
+        self.kinds = inner.kinds
+        self.can_abort = inner.can_abort
         self.wall_seconds = 0.0
         self.events = 0
 

@@ -48,7 +48,6 @@ __all__ = [
     "RunConfig",
     "RunConfigError",
     "RunExecutor",
-    "RunTimeoutInterrupt",
     "SCHEDULERS",
     "Scenario",
     "UnknownNameError",
@@ -64,7 +63,7 @@ __all__ = [
     "timed_runner",
 ]
 
-_LAZY = {"RunExecutor", "RunTimeoutInterrupt", "timed_runner"}
+_LAZY = {"RunExecutor", "timed_runner"}
 
 
 def __getattr__(name: str) -> Any:

@@ -29,6 +29,7 @@ import importlib
 import random
 import signal
 import time
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.detect.online import DetectorPipeline, OnlineDetector
@@ -51,20 +52,25 @@ from .registry import DETECTORS, UnknownNameError, load_builtins
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vm.scheduler import Scheduler
 
-__all__ = ["RunExecutor", "RunTimeoutInterrupt", "timed_runner"]
+__all__ = ["RunExecutor", "TIMEOUT_ABORT", "timed_runner"]
 
 
-class RunTimeoutInterrupt(BaseException):
-    """Raised by the SIGALRM handler to abort a wedged run.
-
-    BaseException so the kernel's per-thread ``except Exception`` cannot
-    swallow it and mislabel the timeout as a thread crash.
-    """
+#: the abort reason a :func:`timed_runner` alarm sets on the kernel; a
+#: run that ends with it is reported as ``RunStatus.TIMEOUT``
+TIMEOUT_ABORT = "wall-clock timeout"
 
 
 def timed_runner(timeout: float) -> KernelRunner:
-    """A kernel runner that aborts after ``timeout`` wall-clock seconds,
-    returning a TIMEOUT result instead of hanging the shard.
+    """A kernel runner that ends a run after ``timeout`` wall-clock
+    seconds, returning a TIMEOUT result instead of hanging the shard.
+
+    The SIGALRM handler only calls :meth:`Kernel.request_abort`, so the
+    run stops at the next step boundary wherever the signal lands.  It
+    must not raise: a handler runs at the next bytecode boundary, which
+    can be inside a ``gc.callbacks`` hook, where an exception is
+    discarded as unraisable and the one-shot alarm is lost.  The result
+    keeps the kernel's own quiescence diagnosis (stuck threads, trace,
+    schedule) with its status replaced by TIMEOUT.
 
     Falls back to plain ``Kernel.run`` where SIGALRM is unavailable
     (non-POSIX, or a non-main thread) — the campaign orchestrator's shard
@@ -79,7 +85,7 @@ def timed_runner(timeout: float) -> KernelRunner:
 
     def run(kernel: Kernel) -> RunResult:
         def _on_alarm(signum: int, frame: Any) -> None:
-            raise RunTimeoutInterrupt()
+            kernel.request_abort(TIMEOUT_ABORT)
 
         try:
             previous = signal.signal(signal.SIGALRM, _on_alarm)
@@ -87,19 +93,13 @@ def timed_runner(timeout: float) -> KernelRunner:
             return kernel.run()
         try:
             signal.setitimer(signal.ITIMER_REAL, timeout)
-            return kernel.run()
-        except RunTimeoutInterrupt:
-            live = [t.name for t in kernel.threads.values() if t.is_live()]
-            return RunResult(
-                status=RunStatus.TIMEOUT,
-                trace=kernel.trace,
-                steps=kernel.steps,
-                stuck_threads=live,
-                schedule_log=list(kernel.schedule_log),
-            )
+            result = kernel.run()
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
+        if result.abort_reason == TIMEOUT_ABORT:
+            return replace(result, status=RunStatus.TIMEOUT)
+        return result
 
     return run
 

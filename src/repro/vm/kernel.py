@@ -26,6 +26,7 @@ Termination taxonomy of :meth:`Kernel.run` (see :class:`RunStatus`):
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import (
@@ -264,6 +265,10 @@ class Kernel:
         self.barriers: Dict[str, BarrierObject] = {}
         self.components: Dict[str, Any] = {}
         self._clock_waiters: List[SimThread] = []
+        #: set once any timed wait or timed acquire gets a deadline; until
+        #: then the per-step expiry scans have nothing to find and are
+        #: skipped.
+        self._timed_deadlines = False
         self._ran = False
 
     # -- registration ----------------------------------------------------------
@@ -684,7 +689,11 @@ class Kernel:
         thread.waiting_since = self.time
         thread.waits_entered += 1
         # Java's wait(0) waits forever; only positive timeouts are timed.
-        thread.wait_deadline = self.time + timeout if timeout else None
+        if timeout:
+            thread.wait_deadline = self.time + timeout
+            self._timed_deadlines = True
+        else:
+            thread.wait_deadline = None
         comp, meth = thread.current_frame()
         self.emit(
             thread.name,
@@ -731,7 +740,9 @@ class Kernel:
             reason=reason.value,
         )
 
-    def _sys_notify(self, thread: SimThread, call: Notify, all_waiters: bool) -> None:
+    def _sys_notify(
+        self, thread: SimThread, call: Notify, all_waiters: bool = False
+    ) -> None:
         name = self._monitor_name(call.monitor, thread)
         monitor = self.monitors[name]
         if not monitor.is_owned_by(thread.name):
@@ -778,7 +789,7 @@ class Kernel:
             )
         thread.send_value = None
 
-    def _sys_tick(self, thread: SimThread) -> None:
+    def _sys_tick(self, thread: SimThread, call: Tick) -> None:
         self._do_tick(by=thread.name)
         thread.send_value = None
 
@@ -887,6 +898,7 @@ class Kernel:
             # tryAcquire(n, timeout) on virtual time; resolves False at the
             # deadline if the permits were never granted.
             thread.acquire_deadline = self.time + timeout
+            self._timed_deadlines = True
         self._grant_sem(sem)
 
     def _grant_sem(self, sem: SemaphoreObject) -> None:
@@ -1593,70 +1605,56 @@ class Kernel:
                 self._grant_lock(monitor)
 
     def _dispatch(self, thread: SimThread, syscall: Syscall) -> None:
-        if isinstance(syscall, Acquire):
-            self._sys_acquire(thread, syscall)
-        elif isinstance(syscall, Release):
-            self._sys_release(thread, syscall)
-        elif isinstance(syscall, Wait):
-            self._sys_wait(thread, syscall)
-        elif isinstance(syscall, Notify):
-            self._sys_notify(thread, syscall, all_waiters=False)
-        elif isinstance(syscall, NotifyAll):
-            self._sys_notify(thread, syscall, all_waiters=True)
-        elif isinstance(syscall, Read):
-            self.emit(
-                thread.name,
-                EventKind.READ,
-                component=self._component_name(syscall.component),
-                method=thread.current_frame()[1],
-                field=syscall.field,
-            )
-            thread.send_value = None
-        elif isinstance(syscall, Write):
-            self.emit(
-                thread.name,
-                EventKind.WRITE,
-                component=self._component_name(syscall.component),
-                method=thread.current_frame()[1],
-                field=syscall.field,
-            )
-            thread.send_value = None
-        elif isinstance(syscall, Interrupt):
-            self.interrupt(syscall.thread, by=thread.name)
-            thread.send_value = None
-        elif isinstance(syscall, Tick):
-            self._sys_tick(thread)
-        elif isinstance(syscall, AwaitTime):
-            self._sys_await(thread, syscall)
-        elif isinstance(syscall, GetTime):
-            thread.send_value = self.clock_time
-        elif isinstance(syscall, Yield):
-            self.emit(thread.name, EventKind.YIELD)
-            thread.send_value = None
-        elif isinstance(syscall, CallBegin):
-            self._sys_call_begin(thread, syscall)
-        elif isinstance(syscall, CallEnd):
-            self._sys_call_end(thread, syscall)
-        elif isinstance(syscall, SemAcquire):
-            self._sys_sem_acquire(thread, syscall)
-        elif isinstance(syscall, SemRelease):
-            self._sys_sem_release(thread, syscall)
-        elif isinstance(syscall, RwAcquire):
-            self._sys_rw_acquire(thread, syscall)
-        elif isinstance(syscall, RwRelease):
-            self._sys_rw_release(thread, syscall)
-        elif isinstance(syscall, BarrierAwait):
-            self._sys_barrier_await(thread, syscall)
-        else:
-            raise UnknownSyscallError(f"thread {thread.name!r} yielded {syscall!r}")
+        try:
+            handler = _SYSCALL_HANDLERS[type(syscall)]
+        except KeyError:
+            handler = _handler_for_subclass(type(syscall))
+            if handler is None:
+                raise UnknownSyscallError(
+                    f"thread {thread.name!r} yielded {syscall!r}"
+                ) from None
+        handler(self, thread, syscall)
+
+    def _sys_read(self, thread: SimThread, call: Read) -> None:
+        self.emit(
+            thread.name,
+            EventKind.READ,
+            component=self._component_name(call.component),
+            method=thread.current_frame()[1],
+            field=call.field,
+        )
+        thread.send_value = None
+
+    def _sys_write(self, thread: SimThread, call: Write) -> None:
+        self.emit(
+            thread.name,
+            EventKind.WRITE,
+            component=self._component_name(call.component),
+            method=thread.current_frame()[1],
+            field=call.field,
+        )
+        thread.send_value = None
+
+    def _sys_interrupt(self, thread: SimThread, call: Interrupt) -> None:
+        self.interrupt(call.thread, by=thread.name)
+        thread.send_value = None
+
+    def _sys_get_time(self, thread: SimThread, call: GetTime) -> None:
+        thread.send_value = self.clock_time
+
+    def _sys_yield(self, thread: SimThread, call: Yield) -> None:
+        self.emit(thread.name, EventKind.YIELD)
+        thread.send_value = None
 
     def step(self) -> bool:
         """Execute one scheduling step.  Returns False at quiescence."""
         if self.fault_injector is not None:
             self.fault_injector.on_step(self)
-        self._maybe_spurious_wakeup()
-        self._expire_timed_waits()
-        self._expire_timed_acquires()
+        if self.spurious_wakeup_rate > 0.0:
+            self._maybe_spurious_wakeup()
+        if self._timed_deadlines:
+            self._expire_timed_waits()
+            self._expire_timed_acquires()
         runnable = self._runnable()
         if not runnable:
             if self.auto_tick and self._clock_waiters:
@@ -1763,3 +1761,41 @@ class Kernel:
             abort_reason=self.abort_reason,
         )
         return result
+
+
+#: syscall type -> handler ``(kernel, thread, call)``.  A step pays one
+#: dict lookup on the exact type; a subclass of a syscall falls back to
+#: :func:`_handler_for_subclass`.
+_SYSCALL_HANDLERS: Dict[type, Callable[[Kernel, SimThread, Any], None]] = {
+    Acquire: Kernel._sys_acquire,
+    Release: Kernel._sys_release,
+    Wait: Kernel._sys_wait,
+    Notify: Kernel._sys_notify,
+    NotifyAll: functools.partial(Kernel._sys_notify, all_waiters=True),
+    Read: Kernel._sys_read,
+    Write: Kernel._sys_write,
+    Interrupt: Kernel._sys_interrupt,
+    Tick: Kernel._sys_tick,
+    AwaitTime: Kernel._sys_await,
+    GetTime: Kernel._sys_get_time,
+    Yield: Kernel._sys_yield,
+    CallBegin: Kernel._sys_call_begin,
+    CallEnd: Kernel._sys_call_end,
+    SemAcquire: Kernel._sys_sem_acquire,
+    SemRelease: Kernel._sys_sem_release,
+    RwAcquire: Kernel._sys_rw_acquire,
+    RwRelease: Kernel._sys_rw_release,
+    BarrierAwait: Kernel._sys_barrier_await,
+}
+
+
+def _handler_for_subclass(
+    cls: type,
+) -> Optional[Callable[[Kernel, SimThread, Any], None]]:
+    """The handler of ``cls``'s nearest registered base, or None when
+    ``cls`` is no known syscall."""
+    for base in cls.__mro__[1:]:
+        handler = _SYSCALL_HANDLERS.get(base)
+        if handler is not None:
+            return handler
+    return None

@@ -381,3 +381,67 @@ class TestJournalAndResumeSystematic:
         resumed = run_campaign(spec, resume=True)
         assert resumed.duplicates == 0  # planner runs not double-merged
         assert resumed.n_runs == first.n_runs
+
+
+class TestGoalTracking:
+    """``goal_reached()`` runs after every merged run in pool mode; it
+    must read what merge() folded in, not rescan every kept summary."""
+
+    N = 2000
+
+    def _aggregator(self, goal):
+        from repro.engine.campaign import _Aggregator
+        from repro.engine.progress import ProgressTracker
+
+        spec = CampaignSpec(factory="pc-ok", budget=self.N, workers=0, goal=goal)
+        return _Aggregator(spec, ProgressTracker(total_runs=spec.budget))
+
+    @staticmethod
+    def _summary(index, status="completed", detection=None):
+        from repro.testing.explorer import RunSummary
+
+        return RunSummary(
+            index=index,
+            status=status,
+            decisions=(index,),
+            seed=index,
+            detection=detection,
+        )
+
+    def test_goal_check_does_not_rescan(self, monkeypatch):
+        from repro.testing.explorer import RunSummary
+
+        reads = []
+        ok = RunSummary.ok
+        monkeypatch.setattr(
+            RunSummary, "ok", property(lambda s: reads.append(s) or ok.fget(s))
+        )
+        aggregator = self._aggregator("first-failure")
+        for i in range(self.N):
+            aggregator.merge(self._summary(i))
+            assert aggregator.goal_reached() is None
+        # a rescan per merge would read ok ~N²/2 times; merge-time
+        # folding reads each summary a constant number of times
+        assert len(reads) <= 3 * self.N
+        aggregator.merge(self._summary(self.N, status="stuck"))
+        assert aggregator.goal_reached() == "first-failure"
+
+    def test_deadlock_goal_from_status_or_detection(self):
+        aggregator = self._aggregator("first-deadlock")
+        aggregator.merge(self._summary(0, status="stuck"))
+        assert aggregator.goal_reached() is None
+        aggregator.merge(self._summary(1, detection={"deadlock_cycle": ["a", "b"]}))
+        assert aggregator.goal_reached() == "first-deadlock"
+        aggregator = self._aggregator("first-deadlock")
+        aggregator.merge(self._summary(0, status="deadlock"))
+        assert aggregator.goal_reached() == "first-deadlock"
+
+    def test_duplicates_do_not_set_goals(self):
+        aggregator = self._aggregator("first-failure")
+        aggregator.merge(self._summary(0))
+        # same decisions as run 0 (a duplicate schedule) but failing:
+        # dropped by dedupe, so it cannot reach the goal either
+        dup = self._summary(0, status="stuck")
+        aggregator.merge(dup)
+        assert aggregator.result.duplicates == 1
+        assert aggregator.goal_reached() is None

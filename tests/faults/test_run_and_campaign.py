@@ -269,3 +269,27 @@ class TestRequeueBookkeeping:
         assert delays == sorted(delays)
         assert delays[0] == _REQUEUE_BACKOFF_BASE
         assert delays[-1] == _REQUEUE_BACKOFF_CAP
+
+
+class TestSystematicFaultedCampaign:
+    def test_planner_runs_the_faulted_program(self):
+        # The systematic planner must expand DFS prefixes over the same
+        # program the shards run.  Planned over the bare workload (no
+        # fault plan), its prefixes did not fit the faulted program's
+        # choices: ChoiceExhaustedError at step 27.
+        plan = FaultPlan(
+            name="interrupt-u0",
+            rules=(FaultRule(action="interrupt", thread="u0", at_wait=1),),
+        )
+        spec = CampaignSpec(
+            factory="sem",
+            component="Semaphore",
+            mode="systematic",
+            budget=2000,
+            shard_size=100,
+            workers=0,
+            faults=plan,
+        )
+        result = run_campaign(spec)
+        assert result.n_executed == 2000
+        assert not result.shards_failed

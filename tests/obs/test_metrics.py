@@ -188,3 +188,111 @@ class TestSnapshot:
         r.merge_snapshot(self._populated().snapshot())
         assert r.counter("c").get(k="v") == 4
         assert r.gauge("g").get() == 3.0  # agg=sum survives the snapshot
+
+
+def _exact(registry):
+    """Everything a registry holds, series insertion order included."""
+    rows = []
+    for name in registry.names():
+        metric = registry.get(name)
+        series = [
+            (key, (list(v.counts), v.sum, v.count) if hasattr(v, "counts") else v)
+            for key, v in metric._series.items()
+        ]
+        rows.append(
+            (
+                name,
+                metric.kind,
+                metric.help,
+                getattr(metric, "agg", None),
+                getattr(metric, "buckets", None),
+                [(key, repr(value)) for key, value in series],
+            )
+        )
+    return rows
+
+
+class TestMergeSnapshotFolding:
+    """merge_snapshot folds rows in place; the result must be exactly
+    what merging the snapshot's throwaway registry gave."""
+
+    def _both(self, snapshots, start=None):
+        folded, merged = MetricsRegistry(), MetricsRegistry()
+        if start is not None:
+            folded.merge_snapshot(start)
+            merged.merge(start.to_registry())
+        for snapshot in snapshots:
+            folded.merge_snapshot(snapshot)
+            merged.merge(snapshot.to_registry())
+        return _exact(folded), _exact(merged)
+
+    def test_campaign_snapshots(self):
+        from repro.run import RunConfig, RunExecutor
+        from repro.vm import RandomScheduler
+
+        executor = RunExecutor(RunConfig(workload="pc-bug", metrics=True))
+        snapshots = []
+        for seed in range(30):
+            executor.runner(executor(RandomScheduler(seed=seed)))
+            snapshots.append(executor.sink.snapshot())
+        folded, merged = self._both(snapshots)
+        assert folded == merged
+        assert len(folded) > 5
+
+    def test_unsorted_and_duplicate_rows(self):
+        messy = MetricsSnapshot(
+            metrics=(
+                {
+                    "name": "c",
+                    "type": "counter",
+                    "help": "h",
+                    "series": [
+                        {"labels": {"k": "z"}, "value": 1.5},
+                        {"labels": {"k": "a"}, "value": 2},
+                        {"labels": {"k": "z"}, "value": 0.25},
+                    ],
+                },
+                {
+                    "name": "g",
+                    "type": "gauge",
+                    "agg": "min",
+                    "series": [
+                        {"labels": {"t": "b"}, "value": 4},
+                        {"labels": {"t": "a"}, "value": 9},
+                        {"labels": {"t": "b"}, "value": 7},
+                    ],
+                },
+                {
+                    "name": "h",
+                    "type": "histogram",
+                    "buckets": [10, 1],
+                    "series": [
+                        {"labels": {"x": "2"}, "counts": [1, 0, 0], "sum": 0.5, "count": 1},
+                        {"labels": {"x": "1"}, "counts": [0, 2, 0], "sum": 9, "count": 2},
+                    ],
+                },
+                # a later payload of the same name replaces the earlier one
+                {"name": "c", "type": "counter", "series": [{"labels": {}, "value": 3}]},
+            )
+        )
+        # into an empty registry (new metrics) and into populated ones
+        assert self._both([messy])[0] == self._both([messy])[1]
+        folded, merged = self._both([messy, messy], start=messy)
+        assert folded == merged
+
+    def test_kind_clash_and_bucket_clash_rejected(self):
+        r = MetricsRegistry()
+        r.counter("x").inc()
+        with pytest.raises(ValueError, match="cannot merge"):
+            r.merge_snapshot(
+                MetricsSnapshot(metrics=({"name": "x", "type": "gauge", "series": []},))
+            )
+        r.histogram("h", buckets=(1, 2)).observe(1)
+        with pytest.raises(ValueError, match="bucket bounds differ"):
+            r.merge_snapshot(
+                MetricsSnapshot(
+                    metrics=(
+                        {"name": "h", "type": "histogram", "buckets": [1, 3], "series": []},
+                    )
+                )
+            )

@@ -690,3 +690,93 @@ class TestAccessRecordingToggle:
         kernel.spawn(producer, name="p")
         result = kernel.run()
         assert result.trace.by_kind(EventKind.WRITE)
+
+
+class TestLeanStep:
+    """The step loop looks handlers up by syscall type and skips the
+    spurious draw and the timed-expiry scans when nothing uses them."""
+
+    def test_syscall_subclass_dispatches_to_base_handler(self):
+        from dataclasses import dataclass
+
+        @dataclass(frozen=True)
+        class TracedAcquire(Acquire):
+            note: str = ""
+
+        kernel = make_kernel()
+        kernel.new_monitor("m")
+
+        def body():
+            yield TracedAcquire("m", note="sub")
+            yield Release("m")
+
+        kernel.spawn(body, name="t")
+        result = kernel.run()
+        assert result.ok
+        assert [e.kind for e in result.trace if e.monitor == "m"] == [
+            EventKind.MONITOR_REQUEST,
+            EventKind.MONITOR_ACQUIRE,
+            EventKind.MONITOR_RELEASE,
+        ]
+
+    def test_unknown_syscall_delivered_to_thread(self):
+        from repro.vm.syscalls import Syscall
+
+        class Bogus(Syscall):
+            pass
+
+        kernel = make_kernel()
+
+        def body():
+            yield Bogus()
+
+        kernel.spawn(body, name="t")
+        result = kernel.run()
+        assert isinstance(result.crashed.get("t"), UnknownSyscallError)
+
+    def test_zero_spurious_rate_draws_nothing(self):
+        kernel = make_kernel(seed=5)
+        kernel.new_monitor("m")
+
+        def body():
+            yield Acquire("m")
+            yield Release("m")
+
+        kernel.spawn(body, name="t")
+        before = kernel.rng.getstate()
+        assert kernel.run().ok
+        assert kernel.rng.getstate() == before
+
+    def test_expiry_scans_skipped_until_a_deadline_is_set(self, monkeypatch):
+        scans = []
+        original = Kernel._expire_timed_waits
+
+        def counting(self):
+            scans.append(self.steps)
+            original(self)
+
+        monkeypatch.setattr(Kernel, "_expire_timed_waits", counting)
+        kernel = make_kernel()
+        kernel.new_monitor("m")
+
+        def untimed():
+            yield Acquire("m")
+            yield Yield()
+            yield Release("m")
+
+        def timed():
+            yield Yield()
+            yield Yield()
+            yield Acquire("m")
+            yield Wait("m", timeout=2)
+            yield Release("m")
+
+        kernel.spawn(untimed, name="u")
+        kernel.spawn(timed, name="w")
+        result = kernel.run()
+        assert result.ok
+        # no scan before the timed wait set its deadline, and the wait
+        # still expired on time afterwards
+        assert scans and min(scans) > 0
+        notified = [e for e in result.trace if e.kind is EventKind.MONITOR_NOTIFIED]
+        assert [e.detail["reason"] for e in notified] == ["timeout"]
