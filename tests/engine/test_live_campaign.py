@@ -114,3 +114,68 @@ class TestResumeParity:
         assert telemetry.runs == first.n_runs
         assert dict(telemetry.class_counts) == dict(first.class_counts)
         assert metrics_json(telemetry.metrics) == metrics_json(first.metrics)
+
+
+#: per-run series measured in wall-clock time: equal runs differ there
+WALL_CLOCK_SERIES = ("run_wall_seconds", "vm_events_per_second")
+
+
+def fold(state):
+    """Everything the campaign state folds from its runs, in a form
+    independent of merge order (a pool merges in arrival order, a
+    resume in shard order)."""
+    metrics = [
+        dict(metric, series=sorted(metric["series"], key=json.dumps))
+        for metric in state.metrics.snapshot().to_dict()["metrics"]
+        if metric["name"] not in WALL_CLOCK_SERIES
+    ]
+    return {
+        "runs": state.runs,
+        "executed": state.executed,
+        "duplicates": state.duplicates,
+        "failures": state.failures,
+        "statuses": dict(state.statuses),
+        "class_counts": dict(state.class_counts),
+        "signatures": sorted(state.signatures),
+        "shards_total": state.shards_total,
+        "shards_done": state.shards_done,
+        "metrics": json.dumps(sorted(metrics, key=lambda m: m["name"])),
+    }
+
+
+@needs_fork
+class TestIndependentParity:
+    """The live state of a pooled campaign against a state rebuilt from
+    nothing but its journal: the two share no fold."""
+
+    def test_pool_state_equals_resume_over_complete_journal(self, tmp_path):
+        journal = str(tmp_path / "camp.jsonl")
+        fresh = LiveAggregator()
+        run_campaign(spec(workers=2, journal_path=journal), telemetry=fresh)
+        rebuilt = LiveAggregator()
+        resumed = run_campaign(
+            spec(workers=2, journal_path=journal), resume=True, telemetry=rebuilt
+        )
+        assert resumed.shards_resumed == resumed.shards_total
+        assert fresh.runs > 0 and fresh.class_counts
+        assert fold(rebuilt) == fold(fresh)
+
+
+class TestOneFold:
+    def test_each_unique_run_merges_its_metrics_once(self, monkeypatch):
+        """A served campaign decodes and merges every run's metrics
+        snapshot once, however many views read the result."""
+        from repro.obs.metrics import MetricsRegistry
+
+        calls = []
+        merge_snapshot = MetricsRegistry.merge_snapshot
+
+        def counting(self, snapshot):
+            calls.append(1)
+            return merge_snapshot(self, snapshot)
+
+        monkeypatch.setattr(MetricsRegistry, "merge_snapshot", counting)
+        telemetry = LiveAggregator()
+        result = run_campaign(spec(), telemetry=telemetry)
+        assert result.n_runs > 0
+        assert len(calls) == result.n_runs
