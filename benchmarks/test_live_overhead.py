@@ -2,9 +2,10 @@
 
 ``repro campaign --serve`` promises observability that costs (nearly)
 nothing: workers already shipped one summary per run, the frame wrapper
-adds two shard-local integers, and the orchestrator's aggregator makes
-one extra ``LiveAggregator.note_run`` call per merged run while the HTTP
-server sleeps in ``accept`` on a daemon thread.
+adds two shard-local integers, every campaign folds its runs into one
+``LiveAggregator`` whether served or not, and serving adds only the SSE
+frames built for subscribers while the HTTP server sleeps in ``accept``
+on a daemon thread.
 
 As in bench Ext-I, a single-digit overhead drowns in shared-box noise on
 an end-to-end wall measurement, so the headline number is deterministic:

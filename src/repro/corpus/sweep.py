@@ -41,7 +41,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis import check_component
 from repro.engine import CampaignSpec, run_campaign
-from repro.engine.progress import ProgressTracker
 from repro.run.config import DETECTOR_ORDER
 from repro.run.registry import COMPONENTS
 
@@ -166,11 +165,7 @@ def sweep_corpus(
     for record in records:
         spec = _variant_spec(record, sweep_dir, seeds, timeout)
         journal_exists = spec.journal_path and os.path.exists(spec.journal_path)
-        campaign = run_campaign(
-            spec,
-            resume=bool(resume and journal_exists),
-            progress=ProgressTracker(total_runs=seeds, stream=None),
-        )
+        campaign = run_campaign(spec, resume=bool(resume and journal_exists))
         static_codes = tuple(
             sorted(
                 {

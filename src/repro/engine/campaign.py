@@ -24,16 +24,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import multiprocessing
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
+from repro.obs.live.aggregate import LiveAggregator
 from repro.obs.live.frames import TelemetryFrame
-from repro.obs.metrics import Counter as MetricsCounter
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
+from repro.obs.metrics import MetricsRegistry
 from repro.run.config import DETECTOR_ORDER, RunConfig, RunConfigError, _coerce_faults
 from repro.run.executor import RunExecutor
 from repro.testing.explorer import RunSummary, wilson_interval
@@ -43,9 +44,6 @@ from .journal import CampaignJournal
 from .progress import ProgressTracker
 from .shards import Shard, plan_seed_shards, plan_systematic_shards
 from .worker import WorkerTask, execute_shard, worker_main
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.live.aggregate import LiveAggregator
 
 __all__ = [
     "CampaignError",
@@ -58,6 +56,10 @@ __all__ = [
 _MODES = ("random", "pct", "systematic")
 _GOALS = ("budget", "first-failure", "first-deadlock", "coverage")
 _TRACE_MODES = ("full", "none")
+
+#: What the engine did: requeues, shard failures, resumed shards and
+#: timed-out runs, at INFO (silent unless the caller configures logging).
+log = logging.getLogger("repro.engine.campaign")
 
 #: Pseudo shard id for the systematic planner's own expansion runs.
 PLAN_SHARD_ID = "plan"
@@ -298,26 +300,21 @@ class ReplayArtifact:
 
 @dataclass
 class CampaignResult:
-    """Merged outcome of a campaign (unique schedules only)."""
+    """Merged outcome of a campaign (unique schedules only).
+
+    The counters are read from :attr:`state`, the campaign state the
+    heartbeat and ``/status`` render too; the result itself keeps the
+    retained summaries, coverage and the goal outcome.
+    """
 
     spec: CampaignSpec
+    #: the campaign state: the one fold of every merged run
+    state: LiveAggregator = field(default_factory=LiveAggregator)
     summaries: List[RunSummary] = field(default_factory=list)
-    duplicates: int = 0
-    shards_total: int = 0
-    shards_completed: int = 0
-    shards_failed: List[str] = field(default_factory=list)
-    shards_resumed: int = 0
-    shards_requeued: int = 0
     exhausted: bool = False
     goal_reached: Optional[str] = None
     wall_time: float = 0.0
     coverage: Optional[Any] = None  # CoverageMatrix when tracked
-    #: failure-class code -> number of unique schedules implicating it
-    #: (populated only when the spec ran with ``detect=True``)
-    class_counts: Counter = field(default_factory=Counter)
-    #: merged per-run metrics (unique schedules only; populated only when
-    #: the spec ran with ``metrics=True``)
-    metrics: Optional[MetricsRegistry] = None
 
     @property
     def n_runs(self) -> int:
@@ -327,10 +324,51 @@ class CampaignResult:
     @property
     def n_executed(self) -> int:
         """All run executions, including duplicate schedules."""
-        return len(self.summaries) + self.duplicates
+        return self.state.executed
+
+    @property
+    def duplicates(self) -> int:
+        return self.state.duplicates
+
+    @property
+    def class_counts(self) -> Counter:
+        """Failure-class code -> number of unique schedules implicating
+        it (populated only when the spec ran with ``detect=True``)."""
+        return self.state.class_counts
+
+    @property
+    def metrics(self) -> Optional[MetricsRegistry]:
+        """Merged per-run metrics (unique schedules only), or None when
+        the spec ran without ``metrics=True``."""
+        return self.state.metrics if self.spec.metrics else None
+
+    @property
+    def shards_total(self) -> int:
+        return self.state.shards_total
+
+    @property
+    def shards_completed(self) -> int:
+        """Shards done, resumed ones included."""
+        return self.state.shards_done
+
+    @property
+    def shards_failed(self) -> List[str]:
+        return [
+            shard_id
+            for shard_id, row in self.state.shards.items()
+            if row.state == "failed"
+        ]
+
+    @property
+    def shards_resumed(self) -> int:
+        return self.state.shards_resumed
+
+    @property
+    def shards_requeued(self) -> int:
+        return self.state.shards_requeued
 
     def statuses(self) -> Counter:
-        return Counter(s.status for s in self.summaries)
+        return Counter(self.state.statuses)
 
     def failures(self) -> List[RunSummary]:
         return [s for s in self.summaries if not s.ok]
@@ -384,56 +422,9 @@ class CampaignResult:
         return self.coverage.coverage_fraction()
 
     def build_metrics(self) -> MetricsRegistry:
-        """Campaign-level registry: the merged per-run series plus the
-        campaign's own counters (``campaign_runs_total`` by status,
-        duplicates, failure classes, shard accounting, throughput).
-
-        Pure: builds a fresh registry each call, leaving :attr:`metrics`
-        untouched — safe to call repeatedly (exporters, tests).
-        """
-        registry = MetricsRegistry()
-        if self.metrics is not None:
-            registry.merge(self.metrics)
-        runs = registry.counter(
-            "campaign_runs_total", "unique schedules merged, by run status"
-        )
-        for status, count in self.statuses().items():
-            runs.inc(count, status=status)
-        registry.counter(
-            "campaign_duplicate_schedules_total",
-            "runs discarded as duplicate schedules",
-        ).inc(self.duplicates)
-        classes = registry.counter(
-            "campaign_failure_classes_total",
-            "unique schedules implicating each Table-1 failure class",
-        )
-        for code, count in self.class_counts.items():
-            classes.inc(count, failure_class=code)
-        shards = registry.counter(
-            "campaign_shards_total", "shard dispositions across the campaign"
-        )
-        shards.inc(self.shards_completed, state="completed")
-        shards.inc(len(self.shards_failed), state="failed")
-        shards.inc(self.shards_requeued, state="requeued")
-        shards.inc(self.shards_resumed, state="resumed")
-        if self.wall_time > 0:
-            registry.gauge(
-                "campaign_runs_per_second",
-                "overall campaign throughput (executed runs / wall time)",
-                agg="last",
-            ).set(self.n_executed / self.wall_time)
-        from repro.obs.live.aggregate import attach_campaign_info
-
-        attach_campaign_info(
-            registry,
-            {
-                "fingerprint": self.spec.fingerprint(),
-                "factory": self.spec.factory,
-                "mode": self.spec.mode,
-            },
-            self.shards_total,
-        )
-        return registry
+        """Campaign-level registry (see :meth:`LiveAggregator.registry`),
+        with throughput over the campaign's wall time."""
+        return self.state.registry(wall_time=self.wall_time)
 
     def describe(self) -> str:
         status_counts = ", ".join(
@@ -496,12 +487,13 @@ class CampaignResult:
 
 
 class _Aggregator:
-    """Merges run summaries: dedupe by schedule hash, fold coverage.
+    """Merges run summaries: the dedup verdict by schedule hash, summary
+    retention, coverage and goal flags.
 
-    When a :class:`~repro.obs.live.aggregate.LiveAggregator` is attached
-    it receives every merged summary *with this aggregator's duplicate
-    verdict*, immediately after the fold — the live state is therefore
-    the same merge in the same order, which is what makes mid-run
+    Every merged summary then goes, *with this aggregator's duplicate
+    verdict*, to the campaign state (:meth:`LiveAggregator.note_run`),
+    which folds every counter the result, the heartbeat and ``/status``
+    read — one fold in merge order, which is what makes mid-run
     ``/status`` equal to the post-hoc journal merge.
     """
 
@@ -509,19 +501,17 @@ class _Aggregator:
         self,
         spec: CampaignSpec,
         progress: ProgressTracker,
-        live: Optional["LiveAggregator"] = None,
+        state: LiveAggregator,
     ) -> None:
         self.spec = spec
         self.progress = progress
-        self.live = live
-        self.result = CampaignResult(spec=spec)
+        self.state = state
+        self.result = CampaignResult(spec=spec, state=state)
         self._seen: set = set()
         #: goal flags folded in by merge(), so goal_reached() is O(1)
         #: instead of a rescan of every retained summary
         self._any_failure = False
         self._any_deadlock = False
-        if spec.metrics:
-            self.result.metrics = MetricsRegistry()
         if spec.coverage:
             from repro.analysis import build_all_cofgs
             from repro.coverage.matrix import CoverageMatrix
@@ -543,9 +533,7 @@ class _Aggregator:
     ) -> None:
         key = summary.schedule_key
         duplicate = key in self._seen
-        if duplicate:
-            self.result.duplicates += 1
-        else:
+        if not duplicate:
             self._seen.add(key)
             self.result.summaries.append(summary)
             if not summary.ok:
@@ -554,20 +542,6 @@ class _Aggregator:
                 summary.detection or {}
             ).get("deadlock_cycle"):
                 self._any_deadlock = True
-            for code in summary.detected_classes:
-                self.result.class_counts[code] += 1
-                self.progress.classes[code] += 1
-            if self.result.metrics is not None and summary.metrics:
-                self.result.metrics.merge_snapshot(
-                    MetricsSnapshot.from_dict(summary.metrics)
-                )
-                contended = self.result.metrics.get(
-                    "vm_monitor_contended_ticks_total"
-                )
-                if isinstance(contended, MetricsCounter):
-                    top = contended.top(1, label="monitor")
-                    if top:
-                        self.progress.top_contended = top[0]
             if self.result.coverage is not None:
                 counts = {
                     (m, s, d): n for m, s, d, n in summary.arc_hits
@@ -578,14 +552,17 @@ class _Aggregator:
                     else f"run{summary.index}"
                 )
                 self.result.coverage.add_counts(counts, label=label)
-                self.progress.coverage_fraction = (
-                    self.result.coverage.coverage_fraction()
-                )
-        self.progress.note_run(summary, duplicate=duplicate)
-        if self.live is not None:
-            self.live.note_run(
-                summary, duplicate=duplicate, shard_id=shard_id, frame=frame
+        if summary.status == RunStatus.TIMEOUT.value:
+            log.info(
+                "run timed out: shard %s, seed %s, index %d",
+                shard_id,
+                summary.seed,
+                summary.index,
             )
+        self.state.note_run(
+            summary, duplicate=duplicate, shard_id=shard_id, frame=frame
+        )
+        self.progress.note_run(summary, duplicate=duplicate)
 
     def goal_reached(self) -> Optional[str]:
         if self.spec.goal == "first-failure" and self._any_failure:
@@ -650,32 +627,34 @@ def run_campaign(
     spec: CampaignSpec,
     resume: bool = False,
     progress: Optional[ProgressTracker] = None,
-    telemetry: Optional["LiveAggregator"] = None,
+    telemetry: Optional[LiveAggregator] = None,
 ) -> CampaignResult:
     """Execute (or resume) a campaign and return the merged result.
 
-    ``telemetry`` attaches a live aggregator (see
-    :mod:`repro.obs.live`): it receives every merged run and shard
-    transition as the orchestrator processes them, and is closed when
-    the campaign finishes — the substrate behind ``--serve``/``--dash``.
+    ``telemetry`` is the campaign state (see :mod:`repro.obs.live`) —
+    one is built when none is given.  It folds every merged run and
+    records every shard transition as the orchestrator processes them,
+    is what the result's counters, the ``progress`` heartbeat and the
+    ``--serve``/``--dash`` views read, and is closed when the campaign
+    finishes.
     """
     spec.validate()
     started = time.monotonic()
     shards, planner_summaries, plan_exhausted = _plan(spec)
 
+    state = telemetry if telemetry is not None else LiveAggregator()
+    state.info.setdefault("fingerprint", spec.fingerprint())
+    state.info.setdefault("factory", spec.factory)
+    state.info.setdefault("mode", spec.mode)
+    state.info.setdefault("workers", spec.workers)
+    if state.total_runs is None:
+        state.total_runs = spec.budget
+    state.set_shards_total(len(shards))
     progress = progress or ProgressTracker(total_runs=spec.budget)
-    progress.shards_total = len(shards)
-    if telemetry is not None:
-        telemetry.info.setdefault("fingerprint", spec.fingerprint())
-        telemetry.info.setdefault("factory", spec.factory)
-        telemetry.info.setdefault("mode", spec.mode)
-        telemetry.info.setdefault("workers", spec.workers)
-        if telemetry.total_runs is None:
-            telemetry.total_runs = spec.budget
-        telemetry.set_shards_total(len(shards))
-    aggregator = _Aggregator(spec, progress, live=telemetry)
+    aggregator = _Aggregator(spec, progress, state)
     result = aggregator.result
-    result.shards_total = len(shards)
+    progress.state = state
+    progress.coverage = result.coverage
 
     # -- journal / resume --------------------------------------------------
     journal: Optional[CampaignJournal] = None
@@ -686,9 +665,9 @@ def run_campaign(
     if spec.journal_path:
         journal = CampaignJournal(spec.journal_path)
         if resume:
-            state = journal.resume(spec.fingerprint())
-            completed = dict(state.shards)
-            exhausted_flags.update(state.exhausted)
+            journaled = journal.resume(spec.fingerprint())
+            completed = dict(journaled.shards)
+            exhausted_flags.update(journaled.exhausted)
         else:
             journal.start(
                 spec.fingerprint(),
@@ -699,15 +678,18 @@ def run_campaign(
     try:
         planned_ids = {s.shard_id for s in shards}
         resumed_ids = set(completed) & (planned_ids | {PLAN_SHARD_ID})
+        resumed_shards = sorted(resumed_ids - {PLAN_SHARD_ID})
+        if resumed_ids:
+            log.info(
+                "resuming %d shard(s), %d run(s) from journal %s",
+                len(resumed_shards),
+                sum(len(completed[shard_id]) for shard_id in resumed_ids),
+                spec.journal_path,
+            )
         for shard_id in sorted(resumed_ids):
             for summary in completed[shard_id]:
                 aggregator.merge(summary, shard_id=shard_id)
-        shard_resumed_count = len(resumed_ids - {PLAN_SHARD_ID})
-        result.shards_resumed = shard_resumed_count
-        result.shards_completed = shard_resumed_count
-        progress.note_shards_resumed(shard_resumed_count)
-        if telemetry is not None:
-            telemetry.note_shards_resumed(sorted(resumed_ids - {PLAN_SHARD_ID}))
+        state.note_shards_resumed(resumed_shards)
 
         # The systematic planner re-ran during _plan (its runs are the
         # price of rebuilding the deterministic shard list); merge them
@@ -725,7 +707,7 @@ def run_campaign(
             goal = runner(
                 spec, pending, aggregator, journal, progress, exhausted_flags
             )
-        if goal is None and spec.goal == "budget" and not result.shards_failed:
+        if goal is None and spec.goal == "budget" and not state.shards_failed:
             goal = "budget"
         result.goal_reached = goal
         result.exhausted = plan_exhausted or (
@@ -740,8 +722,7 @@ def run_campaign(
         result.wall_time = time.monotonic() - started
         progress.maybe_emit(force=True)
         progress.emit_final()
-        if telemetry is not None:
-            telemetry.close(goal=result.goal_reached)
+        state.close(goal=result.goal_reached)
     if spec.metrics_out or spec.metrics_prom:
         from repro import __version__
         from repro.obs.export import write_metrics_jsonl, write_prometheus
@@ -776,7 +757,6 @@ def _run_inline(
 ) -> Optional[str]:
     """Sequential in-process execution (``workers=0``): no isolation, no
     timeouts beyond the per-run alarm — the debug path."""
-    result = aggregator.result
     while pending:
         shard = pending.popleft()
         outcome = execute_shard(
@@ -790,12 +770,7 @@ def _run_inline(
             journal.append_shard(
                 shard.shard_id, outcome.summaries, exhausted=outcome.exhausted
             )
-        result.shards_completed += 1
-        progress.note_shard_done()
-        if aggregator.live is not None:
-            aggregator.live.note_shard_done(
-                shard.shard_id, exhausted=outcome.exhausted
-            )
+        aggregator.state.note_shard_done(shard.shard_id, exhausted=outcome.exhausted)
         progress.maybe_emit()
         goal = aggregator.goal_reached()
         if goal is not None:
@@ -815,7 +790,7 @@ def _run_pool(
     shard deadlines, bounded retries, early goal stop."""
     from queue import Empty
 
-    result = aggregator.result
+    state = aggregator.state
     ctx = _mp_context()
     queue = ctx.Queue()
     active: Dict[str, _Active] = {}
@@ -838,7 +813,7 @@ def _run_pool(
         active[shard.shard_id] = _Active(process, shard, deadline)
         buffers[shard.shard_id] = []
 
-    def requeue_or_fail(shard: Shard, error: str = "") -> None:
+    def requeue_or_fail(shard: Shard, error: str) -> None:
         buffers.pop(shard.shard_id, None)
         attempt = retries.get(shard.shard_id, 0) + 1
         retries[shard.shard_id] = attempt
@@ -848,15 +823,23 @@ def _run_pool(
             )
             retry_not_before[shard.shard_id] = time.monotonic() + backoff
             pending.append(shard)
+            state.note_shard_requeued(shard.shard_id)
             progress.note_shard_requeued(shard.shard_id)
-            result.shards_requeued += 1
-            if aggregator.live is not None:
-                aggregator.live.note_shard_requeued(shard.shard_id)
+            log.info(
+                "shard %s requeued after attempt %d (backoff %.1fs): %s",
+                shard.shard_id,
+                attempt,
+                backoff,
+                error,
+            )
         else:
-            result.shards_failed.append(shard.shard_id)
-            progress.note_shard_failed()
-            if aggregator.live is not None:
-                aggregator.live.note_shard_failed(shard.shard_id, error=error)
+            state.note_shard_failed(shard.shard_id, error=error)
+            log.info(
+                "shard %s failed after %d attempt(s): %s",
+                shard.shard_id,
+                attempt,
+                error,
+            )
 
     def retire(shard_id: str) -> Optional[_Active]:
         entry = active.pop(shard_id, None)
@@ -866,17 +849,9 @@ def _run_pool(
 
     def handle(kind: str, shard_id: str, payload) -> None:
         nonlocal goal
-        if kind in ("frame", "run"):
-            # "frame" wraps the summary with shard-local telemetry
-            # counters; bare "run" payloads (pre-frame workers) still work.
-            frame: Optional[TelemetryFrame] = None
-            if kind == "frame":
-                frame = TelemetryFrame.from_dict(payload)
-                if frame.summary is None:
-                    return
-                summary = frame.summary
-            else:
-                summary = RunSummary.from_dict(payload)
+        if kind == "frame":
+            frame = TelemetryFrame.from_dict(payload)
+            summary = frame.summary
             if shard_id in buffers:
                 buffers[shard_id].append(summary)
             aggregator.merge(summary, shard_id=shard_id, frame=frame)
@@ -887,10 +862,7 @@ def _run_pool(
             summaries = buffers.pop(shard_id, [])
             if journal is not None:
                 journal.append_shard(shard_id, summaries, exhausted=bool(payload))
-            result.shards_completed += 1
-            progress.note_shard_done()
-            if aggregator.live is not None:
-                aggregator.live.note_shard_done(shard_id, exhausted=bool(payload))
+            state.note_shard_done(shard_id, exhausted=bool(payload))
             retire(shard_id)
         elif kind == "fail":
             entry = retire(shard_id)
@@ -933,11 +905,15 @@ def _run_pool(
                     elif now - entry.dead_since > grace:
                         # died without a done/fail message: hard crash
                         retire(shard_id)
-                        requeue_or_fail(entry.shard)
+                        requeue_or_fail(
+                            entry.shard,
+                            "worker exited with code "
+                            f"{entry.process.exitcode} without reporting",
+                        )
                 elif now > entry.deadline:
                     entry.process.terminate()
                     retire(shard_id)
-                    requeue_or_fail(entry.shard)
+                    requeue_or_fail(entry.shard, "shard deadline exceeded")
             progress.maybe_emit()
     finally:
         for _shard_id, entry in list(active.items()):

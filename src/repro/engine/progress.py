@@ -1,26 +1,32 @@
-"""Live campaign counters: runs/sec, distinct signatures, coverage.
+"""The campaign heartbeat: a text or JSONL renderer of the campaign state.
 
-The orchestrator calls ``note_*`` as events arrive and ``maybe_emit``
-once per loop tick; the tracker rate-limits its own output so a hot
-campaign does not drown the terminal.  Everything here is also the data
-of the final report — ``snapshot()`` is what ``CampaignResult.describe``
-prints.
+A campaign's counters live in its one
+:class:`~repro.obs.live.aggregate.LiveAggregator`, the state
+``/status``, ``/metrics`` and ``repro dash`` also read; the tracker keeps
+none.  ``run_campaign`` binds the tracker to that state, then calls
+``maybe_emit`` once per loop tick and ``emit_final`` at the end; the
+tracker rate-limits its own output so a hot campaign does not drown the
+terminal.
+
+The heartbeat's ``runs`` and ``failures`` count executions, duplicate
+schedules included; ``/status`` counts unique schedules in its ``runs``
+and ``failures`` and executions in ``executed``.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import Counter
-from typing import IO, Any, Dict, Optional, Set, Tuple
+from typing import IO, Any, Dict, Optional
 
+from repro.obs.live.aggregate import LiveAggregator, eta_seconds
 from repro.testing.explorer import RunSummary
 
 __all__ = ["ProgressTracker"]
 
 
 class ProgressTracker:
-    """Counters for a running campaign, with optional periodic emission.
+    """Periodic rendering of a campaign state on a stream.
 
     ``json_mode`` switches the emitted heartbeats from the human one-liner
     to machine-readable JSONL (one object per heartbeat, ``"final": true``
@@ -43,51 +49,20 @@ class ProgressTracker:
         self._clock = clock
         self.started_at = clock()
         self._last_emit = float("-inf")
+        #: the campaign state rendered; ``run_campaign`` binds its own
+        self.state = LiveAggregator()
+        #: the campaign's CoverageMatrix, when it tracks one
+        self.coverage: Optional[Any] = None
 
-        self.runs = 0
-        self.duplicates = 0
-        self.failures = 0
-        self.signatures: Set[Tuple[str, Tuple[str, ...]]] = set()
-        #: failure-class code -> unique schedules implicating it (detect mode)
-        self.classes: Counter = Counter()
-        self.coverage_fraction: Optional[float] = None
-        #: ``(monitor, contended_ticks)`` for the currently most contended
-        #: monitor (metrics mode; fed by the campaign aggregator)
-        self.top_contended: Optional[Tuple[str, float]] = None
-        self.shards_done = 0
-        self.shards_failed = 0
-        self.shards_requeued = 0
-        self.shards_resumed = 0
-        self.shards_total = 0
-        #: shard id -> launch attempts beyond the first (crash-requeued
-        #: shards only); rendered in the heartbeat so a flapping shard is
-        #: visible while the campaign is still running
-        self.shard_attempts: Dict[str, int] = {}
-
-    # -- event intake ------------------------------------------------------
+    # -- hooks -------------------------------------------------------------
 
     def note_run(self, summary: RunSummary, duplicate: bool = False) -> None:
-        self.runs += 1
-        if duplicate:
-            self.duplicates += 1
-        if not summary.ok:
-            self.failures += 1
-            self.signatures.add(summary.signature)
-
-    def note_shard_done(self) -> None:
-        self.shards_done += 1
-
-    def note_shard_failed(self) -> None:
-        self.shards_failed += 1
+        """Called once per merged run, after the state folded it.  The
+        heartbeat reads the state; subclasses may observe the stream."""
 
     def note_shard_requeued(self, shard_id: Optional[str] = None) -> None:
-        self.shards_requeued += 1
-        if shard_id is not None:
-            self.shard_attempts[shard_id] = self.shard_attempts.get(shard_id, 0) + 1
-
-    def note_shards_resumed(self, count: int) -> None:
-        self.shards_resumed += count
-        self.shards_done += count
+        """Called once per crash-requeued shard, after the state recorded
+        it; a hook for subclasses like :meth:`note_run`."""
 
     # -- derived numbers ---------------------------------------------------
 
@@ -95,17 +70,27 @@ class ProgressTracker:
         return max(self._clock() - self.started_at, 1e-9)
 
     def runs_per_sec(self) -> float:
-        return self.runs / self.elapsed()
+        return self.state.executed / self.elapsed()
 
     def eta_seconds(self) -> Optional[float]:
         """Seconds until ``total_runs`` at the observed rate, or None
         when no budget is known or no run has finished yet."""
-        if not self.total_runs or self.runs <= 0:
+        return eta_seconds(self.total_runs, self.state.executed, self.elapsed())
+
+    def coverage_fraction(self) -> Optional[float]:
+        """Arc coverage once a unique run has been merged, else None."""
+        if self.coverage is None or not self.state.runs:
             return None
-        remaining = self.total_runs - self.runs
-        if remaining <= 0:
-            return 0.0
-        return remaining / self.runs_per_sec()
+        return self.coverage.coverage_fraction()
+
+    def attempts(self) -> Dict[str, int]:
+        """Shard id -> launch attempts, for crash-requeued shards only;
+        rendered so a flapping shard is visible mid-campaign."""
+        return {
+            shard_id: row.attempts
+            for shard_id, row in sorted(self.state.shards.items())
+            if row.attempts > 1
+        }
 
     @staticmethod
     def _format_duration(seconds: float) -> str:
@@ -117,100 +102,104 @@ class ProgressTracker:
         hours, minutes = divmod(minutes, 60)
         return f"{hours}h{minutes:02d}m"
 
+    def _classes_bit(self) -> str:
+        return ",".join(
+            f"{code}:{count}"
+            for code, count in sorted(self.state.class_counts.items())
+        )
+
     # -- rendering ---------------------------------------------------------
 
     def to_json_dict(self, final: bool = False) -> Dict[str, Any]:
         """One heartbeat as a JSON-safe dict (the ``--progress-json``
         record; see docs/formats.md)."""
+        state = self.state
         eta = self.eta_seconds()
         record: Dict[str, Any] = {
-            "runs": self.runs,
+            "runs": state.executed,
             "total_runs": self.total_runs,
-            "duplicates": self.duplicates,
-            "failures": self.failures,
-            "signatures": len(self.signatures),
+            "duplicates": state.duplicates,
+            "failures": state.failed_executions,
+            "signatures": len(state.signatures),
             "runs_per_sec": round(self.runs_per_sec(), 3),
             "eta_seconds": None if eta is None else round(eta, 3),
             "elapsed_seconds": round(self.elapsed(), 3),
             "shards": {
-                "done": self.shards_done,
-                "total": self.shards_total,
-                "failed": self.shards_failed,
-                "requeued": self.shards_requeued,
-                "resumed": self.shards_resumed,
+                "done": state.shards_done,
+                "total": state.shards_total,
+                "failed": state.shards_failed,
+                "requeued": state.shards_requeued,
+                "resumed": state.shards_resumed,
             },
         }
-        if self.classes:
-            record["classes"] = dict(sorted(self.classes.items()))
-        if self.coverage_fraction is not None:
-            record["coverage"] = round(self.coverage_fraction, 4)
-        if self.shard_attempts:
-            record["attempts"] = {
-                shard_id: count + 1
-                for shard_id, count in sorted(self.shard_attempts.items())
-            }
-        if self.top_contended is not None:
-            monitor, ticks = self.top_contended
-            record["top_contended"] = {"monitor": monitor, "ticks": ticks}
+        if state.class_counts:
+            record["classes"] = dict(sorted(state.class_counts.items()))
+        coverage = self.coverage_fraction()
+        if coverage is not None:
+            record["coverage"] = round(coverage, 4)
+        attempts = self.attempts()
+        if attempts:
+            record["attempts"] = attempts
+        top = state.top_contended()
+        if top is not None:
+            record["top_contended"] = {"monitor": top[0], "ticks": top[1]}
         if final:
             record["final"] = True
         return record
 
     def render(self) -> str:
+        state = self.state
         parts = []
         if self.total_runs:
-            parts.append(f"runs {self.runs}/{self.total_runs}")
+            parts.append(f"runs {state.executed}/{self.total_runs}")
         else:
-            parts.append(f"runs {self.runs}")
+            parts.append(f"runs {state.executed}")
         parts.append(f"{self.runs_per_sec():.1f}/s")
         eta = self.eta_seconds()
         if eta is not None and eta > 0:
             parts.append(f"eta {self._format_duration(eta)}")
-        parts.append(f"failures {self.failures}")
-        parts.append(f"signatures {len(self.signatures)}")
-        if self.classes:
-            class_bit = ",".join(
-                f"{code}:{count}" for code, count in sorted(self.classes.items())
-            )
-            parts.append(f"classes {class_bit}")
-        if self.coverage_fraction is not None:
-            parts.append(f"coverage {self.coverage_fraction:.0%}")
-        shard_bit = f"shards {self.shards_done}/{self.shards_total}"
-        if self.shards_requeued:
-            shard_bit += f" ({self.shards_requeued} requeued)"
-        if self.shards_resumed:
-            shard_bit += f" ({self.shards_resumed} resumed)"
+        parts.append(f"failures {state.failed_executions}")
+        parts.append(f"signatures {len(state.signatures)}")
+        if state.class_counts:
+            parts.append(f"classes {self._classes_bit()}")
+        coverage = self.coverage_fraction()
+        if coverage is not None:
+            parts.append(f"coverage {coverage:.0%}")
+        shard_bit = f"shards {state.shards_done}/{state.shards_total}"
+        if state.shards_requeued:
+            shard_bit += f" ({state.shards_requeued} requeued)"
+        if state.shards_resumed:
+            shard_bit += f" ({state.shards_resumed} resumed)"
         parts.append(shard_bit)
-        if self.shard_attempts:
+        attempts = self.attempts()
+        if attempts:
             retry_bit = ",".join(
-                f"{shard_id}x{count + 1}"
-                for shard_id, count in sorted(self.shard_attempts.items())
+                f"{shard_id}x{count}" for shard_id, count in attempts.items()
             )
             parts.append(f"attempts {retry_bit}")
-        if self.top_contended is not None:
-            monitor, ticks = self.top_contended
-            parts.append(f"hot {monitor}:{int(ticks)}")
+        top = state.top_contended()
+        if top is not None:
+            parts.append(f"hot {top[0]}:{int(top[1])}")
         return " | ".join(parts)
 
     def render_final(self) -> str:
         """The one-line post-campaign summary."""
+        state = self.state
         parts = [
-            f"done: {self.runs} runs in "
+            f"done: {state.executed} runs in "
             f"{self._format_duration(self.elapsed())} "
             f"({self.runs_per_sec():.1f}/s)",
-            f"failures {self.failures} "
-            f"({len(self.signatures)} signature(s))",
+            f"failures {state.failed_executions} "
+            f"({len(state.signatures)} signature(s))",
         ]
-        if self.classes:
-            class_bit = ",".join(
-                f"{code}:{count}" for code, count in sorted(self.classes.items())
-            )
-            parts.append(f"classes {class_bit}")
-        if self.coverage_fraction is not None:
-            parts.append(f"coverage {self.coverage_fraction:.0%}")
-        if self.top_contended is not None:
-            monitor, ticks = self.top_contended
-            parts.append(f"hottest monitor {monitor} ({int(ticks)} ticks)")
+        if state.class_counts:
+            parts.append(f"classes {self._classes_bit()}")
+        coverage = self.coverage_fraction()
+        if coverage is not None:
+            parts.append(f"coverage {coverage:.0%}")
+        top = state.top_contended()
+        if top is not None:
+            parts.append(f"hottest monitor {top[0]} ({int(top[1])} ticks)")
         return " | ".join(parts)
 
     def maybe_emit(self, force: bool = False) -> None:

@@ -113,10 +113,6 @@ def worker_main(task: WorkerTask, queue) -> None:
     * ``("fail", shard_id, error_text)`` — the shard raised; the
       orchestrator decides whether to requeue.
 
-    The orchestrator also still accepts the pre-frame
-    ``("run", shard_id, summary_dict)`` message for compatibility with
-    out-of-tree workers.
-
     A worker that dies without posting ``done``/``fail`` (hard crash,
     ``kill -9``, segfault in an extension) is detected by the orchestrator
     via process liveness — that is the crash-isolation contract.

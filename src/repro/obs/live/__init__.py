@@ -2,17 +2,19 @@
 
 The live half of the observability layer: compact
 :class:`~repro.obs.live.frames.TelemetryFrame` messages streamed from
-campaign workers, an incrementally merged
-:class:`~repro.obs.live.aggregate.LiveAggregator` whose state is
-byte-for-byte the post-hoc journal merge, an embedded stdlib HTTP
-endpoint (:class:`~repro.obs.live.server.TelemetryServer` — ``/status``
-JSON, ``/metrics`` Prometheus, ``/events`` SSE), a terminal dashboard
+campaign workers, the campaign state
+(:class:`~repro.obs.live.aggregate.LiveAggregator`, the one incremental
+fold of a campaign's runs, equal to the post-hoc journal merge), an
+embedded stdlib HTTP endpoint
+(:class:`~repro.obs.live.server.TelemetryServer` — ``/status`` JSON,
+``/metrics`` Prometheus, ``/events`` SSE), a terminal dashboard
 (:mod:`~repro.obs.live.dash`), and a Perfetto-loadable Chrome
 trace-event export of single runs (:mod:`~repro.obs.live.chrome`).
 
-Same design rule as :mod:`repro.obs`: pull, never push — the engine only
-feeds a :class:`LiveAggregator` that a caller explicitly passed in, and a
-campaign without one pays nothing.
+Every campaign keeps its state in a :class:`LiveAggregator` (built by
+``run_campaign`` when the caller passes none); serving it over HTTP or
+streaming frames to SSE subscribers is what ``--serve``/``--dash`` add,
+and a campaign with no subscriber builds no frame.
 """
 
 from .aggregate import LiveAggregator, ShardRow, attach_campaign_info

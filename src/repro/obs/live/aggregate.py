@@ -1,19 +1,22 @@
-"""Incremental campaign state, safe to read while the campaign runs.
+"""The campaign state: one fold of every merged run, safe to read live.
 
-The campaign orchestrator owns one :class:`LiveAggregator` and feeds it
-exactly the stream its result-building ``_Aggregator`` consumes: one
-``note_run`` per merged summary (with the orchestrator's duplicate
-verdict), plus shard-lifecycle notes.  Because the live aggregator
-applies the *same* fold in the *same* order — unique-only class counts,
-unique-only :class:`~repro.obs.metrics.MetricsSnapshot` merges — its
-final state is byte-for-byte the post-hoc journal-merged summary; the
-tests pin that equality, including under ``--resume``.
+A campaign keeps exactly one :class:`LiveAggregator`.  The
+orchestrator's ``_Aggregator`` makes the dedup verdict and hands each
+merged run to :meth:`LiveAggregator.note_run` — the one per-run fold of
+the campaign's counts, statuses, class counts, failure signatures,
+merged per-run metrics and shard rows — and records every shard
+transition here, once.  Every view of the campaign renders this state:
+``CampaignResult`` reads its counters and metrics, the text and
+``--progress-json`` heartbeat (:class:`~repro.engine.progress.ProgressTracker`)
+renders it on stderr, and ``/status``, ``/metrics`` and ``repro dash``
+serve it over HTTP.  Folding a journal on ``--resume`` rebuilds the same
+state; the tests pin that equality.
 
 Everything is guarded by one lock so the embedded HTTP server's handler
 threads (``/status``, ``/metrics``, SSE) can read mid-campaign without
 torn counters.  SSE subscribers receive one compact dict per frame via
 bounded queues; a slow consumer drops frames rather than stalling the
-orchestrator.
+orchestrator, and with no subscriber no frame is built.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.vm.kernel import RunStatus
 
 from .frames import TelemetryFrame
 
-__all__ = ["LiveAggregator", "ShardRow", "STATUS_FORMAT"]
+__all__ = ["LiveAggregator", "ShardRow", "STATUS_FORMAT", "eta_seconds"]
 
 #: ``format`` marker of the ``/status`` JSON document.
 STATUS_FORMAT = "repro-live-status"
@@ -71,8 +74,21 @@ class ShardRow:
         return row
 
 
+def eta_seconds(
+    total_runs: Optional[int], executed: int, elapsed: float
+) -> Optional[float]:
+    """Seconds until ``total_runs`` executions at the observed rate, or
+    None when no budget is known or no run has finished yet."""
+    if not total_runs or executed <= 0:
+        return None
+    remaining = total_runs - executed
+    if remaining <= 0:
+        return 0.0
+    return remaining / (executed / elapsed)
+
+
 class LiveAggregator:
-    """Thread-safe incremental merge of a campaign's telemetry stream."""
+    """The campaign state: a thread-safe incremental fold of its runs."""
 
     def __init__(
         self,
@@ -93,13 +109,15 @@ class LiveAggregator:
         self.executed = 0  # every execution, duplicates included
         self.duplicates = 0
         self.failures = 0  # unique non-ok schedules
+        #: every non-ok execution, duplicates included (the heartbeat's
+        #: ``failures``)
+        self.failed_executions = 0
         self.statuses: "Counter[str]" = Counter()
         self.class_counts: "Counter[str]" = Counter()
         self.signatures: Set[Tuple[str, Tuple[str, ...]]] = set()
-        #: merged per-run metrics registry (unique schedules only) —
-        #: byte-identical to ``CampaignResult.metrics`` by construction
+        #: merged per-run metrics registry (unique schedules only); what
+        #: ``CampaignResult.metrics`` returns
         self.metrics = MetricsRegistry()
-        self.metrics_seen = False
 
         self.shards: Dict[str, ShardRow] = {}
         self.shards_total = 0
@@ -124,60 +142,61 @@ class LiveAggregator:
         shard_id: str = "",
         frame: Optional[TelemetryFrame] = None,
     ) -> None:
-        """Fold one merged run.  ``duplicate`` is the orchestrator's
-        schedule-dedup verdict; duplicates count as executions only."""
+        """Fold one merged run: the campaign's one per-run fold.
+        ``duplicate`` is the orchestrator's schedule-dedup verdict;
+        duplicates count as executions only."""
         with self._lock:
             self.executed += 1
+            failed = not summary.ok
+            if failed:
+                self.failed_executions += 1
             if duplicate:
                 self.duplicates += 1
             else:
                 self.runs += 1
                 self.statuses[summary.status] += 1
-                if not summary.ok:
+                if failed:
                     self.failures += 1
                     self.signatures.add(summary.signature)
                 for code in summary.detected_classes:
                     self.class_counts[code] += 1
                 if summary.metrics:
-                    self.metrics_seen = True
                     self.metrics.merge_snapshot(
                         MetricsSnapshot.from_dict(summary.metrics)
                     )
-            row = self._row(shard_id or (frame.shard if frame else ""))
+            shard_id = shard_id or (frame.shard if frame else "")
+            row = self._row(shard_id)
             if row is not None:
                 row.state = "running"
                 if frame is not None:
                     row.runs = max(row.runs, frame.runs)
                     row.timeouts = max(row.timeouts, frame.timeouts)
-                    row.attempts = max(row.attempts, frame.attempt)
                 else:
                     row.runs += 1
                     if summary.status == RunStatus.TIMEOUT.value:
                         row.timeouts += 1
-            published: Dict[str, Any] = {
-                "kind": "run",
-                "shard": shard_id or (frame.shard if frame else ""),
-                "status": summary.status,
-                "duplicate": duplicate,
-                "classes": list(summary.detected_classes),
-                "runs": self.runs,
-                "executed": self.executed,
-                "duplicates": self.duplicates,
-                "failures": self.failures,
-            }
-            self._publish(published)
+            if self._subscribers:
+                self._publish(
+                    {
+                        "kind": "run",
+                        "shard": shard_id,
+                        "status": summary.status,
+                        "duplicate": duplicate,
+                        "classes": list(summary.detected_classes),
+                        "runs": self.runs,
+                        "executed": self.executed,
+                        "duplicates": self.duplicates,
+                        "failures": self.failures,
+                    }
+                )
 
-    def note_shard_done(
-        self, shard_id: str, exhausted: bool = False, runs: Optional[int] = None
-    ) -> None:
+    def note_shard_done(self, shard_id: str, exhausted: bool = False) -> None:
         with self._lock:
             self.shards_done += 1
             row = self._row(shard_id)
             if row is not None:
                 row.state = "done"
                 row.exhausted = exhausted
-                if runs is not None:
-                    row.runs = max(row.runs, runs)
             self._publish(
                 {
                     "kind": "shard-done",
@@ -235,12 +254,7 @@ class LiveAggregator:
         return self.executed / self.elapsed()
 
     def eta_seconds(self) -> Optional[float]:
-        if not self.total_runs or self.executed <= 0:
-            return None
-        remaining = self.total_runs - self.executed
-        if remaining <= 0:
-            return 0.0
-        return remaining / self.runs_per_sec()
+        return eta_seconds(self.total_runs, self.executed, self.elapsed())
 
     def status(self) -> Dict[str, Any]:
         """The ``/status`` JSON document (see docs/formats.md)."""
@@ -275,7 +289,7 @@ class LiveAggregator:
                 ],
             }
             doc.update(self.info)
-            top = self._top_contended()
+            top = self.top_contended()
             if top is not None:
                 doc["top_contended"] = {"monitor": top[0], "ticks": top[1]}
             return doc
@@ -283,14 +297,22 @@ class LiveAggregator:
     def status_json(self) -> str:
         return json.dumps(self.status(), sort_keys=True)
 
-    def registry(self) -> MetricsRegistry:
-        """A fresh campaign-level registry mirroring
-        :meth:`repro.engine.campaign.CampaignResult.build_metrics`, built
-        from the live counters — what ``/metrics`` serves mid-run."""
+    def registry(self, wall_time: Optional[float] = None) -> MetricsRegistry:
+        """A fresh campaign-level registry: the merged per-run series plus
+        the campaign's own counters (``campaign_runs_total`` by status,
+        duplicates, failure classes, shard accounting, throughput and the
+        ``campaign_info`` identity gauge).
+
+        What ``/metrics`` serves mid-run and, through
+        :meth:`repro.engine.campaign.CampaignResult.build_metrics`, what
+        ``--metrics-out``/``--metrics-prom`` write.  Throughput is over
+        ``wall_time`` when given, else over the time elapsed so far.
+        Pure: the state is left untouched, so it is safe to call
+        repeatedly.
+        """
         with self._lock:
             registry = MetricsRegistry()
-            if self.metrics_seen:
-                registry.merge(self.metrics)
+            registry.merge(self.metrics)
             runs = registry.counter(
                 "campaign_runs_total", "unique schedules merged, by run status"
             )
@@ -317,7 +339,7 @@ class LiveAggregator:
                 "campaign_runs_per_second",
                 "overall campaign throughput (executed runs / wall time)",
                 agg="last",
-            ).set(self.runs_per_sec())
+            ).set(self.executed / (wall_time or self.elapsed()))
             attach_campaign_info(registry, self.info, self.shards_total)
             return registry
 
@@ -350,6 +372,7 @@ class LiveAggregator:
         return row
 
     def _publish(self, frame: Dict[str, Any]) -> None:
+        """Number ``frame`` and queue it for every SSE subscriber."""
         self._frame_seq += 1
         frame["seq"] = self._frame_seq
         for subscriber in self._subscribers:
@@ -362,7 +385,9 @@ class LiveAggregator:
                 except (queue.Empty, queue.Full):
                     pass
 
-    def _top_contended(self) -> Optional[Tuple[str, float]]:
+    def top_contended(self) -> Optional[Tuple[str, float]]:
+        """``(monitor, contended_ticks)`` of the most contended monitor
+        in the merged metrics, or None without metrics."""
         contended = self.metrics.get("vm_monitor_contended_ticks_total")
         if isinstance(contended, MetricsCounter):
             top = contended.top(1, label="monitor")

@@ -1,17 +1,15 @@
 """Telemetry frames: the compact streaming currency of a live campaign.
 
 A :class:`TelemetryFrame` is what a campaign worker posts to the
-orchestrator queue for every completed run and every shard-lifecycle
-transition — a :class:`~repro.testing.explorer.RunSummary` (when the
-frame carries a run) plus the shard-local counters the summary alone
-cannot provide: how many runs this shard has completed so far, how many
-of them timed out, and which launch attempt is executing.  Frames are
-plain-dict serializable, so they ride the existing multiprocessing
-plumbing unchanged and journal-compatible (the embedded summary dict is
-byte-identical to the pre-frame ``("run", ...)`` payload).
+orchestrator queue for every completed run — the run's
+:class:`~repro.testing.explorer.RunSummary` plus the shard-local counters
+the summary alone cannot provide: how many runs this shard has completed
+so far and how many of them timed out.  Frames are plain-dict
+serializable, so they ride the multiprocessing queue unchanged, and the
+embedded summary dict is the one the journal records.
 
-The orchestrator's :class:`~repro.obs.live.aggregate.LiveAggregator`
-consumes frames incrementally; the SSE stream re-publishes an annotated
+The campaign state (:class:`~repro.obs.live.aggregate.LiveAggregator`)
+folds frames incrementally; the SSE stream re-publishes an annotated
 projection of each one (see :mod:`repro.obs.live.server`).
 """
 
@@ -22,20 +20,10 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.testing.explorer import RunSummary
 
-__all__ = [
-    "FRAME_RUN",
-    "FRAME_SHARD_DONE",
-    "FRAME_SHARD_FAILED",
-    "TelemetryFrame",
-]
+__all__ = ["FRAME_RUN", "TelemetryFrame"]
 
-#: Frame kinds.  Run frames carry a summary; shard frames carry the
-#: lifecycle transition of the emitting shard.
+#: The frame kind: every frame carries one completed run.
 FRAME_RUN = "run"
-FRAME_SHARD_DONE = "shard-done"
-FRAME_SHARD_FAILED = "shard-failed"
-
-_KINDS = (FRAME_RUN, FRAME_SHARD_DONE, FRAME_SHARD_FAILED)
 
 
 @dataclass(frozen=True)
@@ -43,18 +31,13 @@ class TelemetryFrame:
     """One telemetry message from a campaign worker.
 
     Attributes:
-        kind: one of :data:`FRAME_RUN`, :data:`FRAME_SHARD_DONE`,
-            :data:`FRAME_SHARD_FAILED`.
+        kind: :data:`FRAME_RUN`.
         shard: id of the emitting shard.
-        runs: runs this shard has completed so far (including the run
-            this frame carries, for run frames).
+        runs: runs this shard has completed so far, the carried one
+            included.
         timeouts: how many of those runs ended with TIMEOUT status.
         classes: failure-class codes detected by the carried run.
-        attempt: 1-based launch attempt of the shard (requeues bump it).
-        exhausted: for shard-done frames, whether the shard enumerated
-            its whole schedule subspace.
-        error: for shard-failed frames, the worker's error text.
-        summary: the carried run (run frames only).
+        summary: the carried run.
     """
 
     kind: str
@@ -62,13 +45,10 @@ class TelemetryFrame:
     runs: int = 0
     timeouts: int = 0
     classes: Tuple[str, ...] = ()
-    attempt: int = 1
-    exhausted: bool = False
-    error: str = ""
     summary: Optional[RunSummary] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind != FRAME_RUN:
             raise ValueError(f"unknown frame kind {self.kind!r}")
 
     # -- constructors ------------------------------------------------------
@@ -80,7 +60,6 @@ class TelemetryFrame:
         summary: RunSummary,
         runs: int,
         timeouts: int = 0,
-        attempt: int = 1,
     ) -> "TelemetryFrame":
         return cls(
             kind=FRAME_RUN,
@@ -88,28 +67,7 @@ class TelemetryFrame:
             runs=runs,
             timeouts=timeouts,
             classes=summary.detected_classes,
-            attempt=attempt,
             summary=summary,
-        )
-
-    @classmethod
-    def for_shard_done(
-        cls, shard: str, runs: int, exhausted: bool, attempt: int = 1
-    ) -> "TelemetryFrame":
-        return cls(
-            kind=FRAME_SHARD_DONE,
-            shard=shard,
-            runs=runs,
-            exhausted=exhausted,
-            attempt=attempt,
-        )
-
-    @classmethod
-    def for_shard_failed(
-        cls, shard: str, error: str, attempt: int = 1
-    ) -> "TelemetryFrame":
-        return cls(
-            kind=FRAME_SHARD_FAILED, shard=shard, error=error, attempt=attempt
         )
 
     # -- wire format -------------------------------------------------------
@@ -123,12 +81,6 @@ class TelemetryFrame:
             payload["timeouts"] = self.timeouts
         if self.classes:
             payload["classes"] = list(self.classes)
-        if self.attempt != 1:
-            payload["attempt"] = self.attempt
-        if self.exhausted:
-            payload["exhausted"] = True
-        if self.error:
-            payload["error"] = self.error
         if self.summary is not None:
             payload["summary"] = self.summary.to_dict()
         return payload
@@ -147,8 +99,5 @@ class TelemetryFrame:
             runs=int(payload.get("runs", 0)),
             timeouts=int(payload.get("timeouts", 0)),
             classes=tuple(str(c) for c in payload.get("classes", ())),
-            attempt=int(payload.get("attempt", 1)),
-            exhausted=bool(payload.get("exhausted", False)),
-            error=str(payload.get("error", "")),
             summary=summary,
         )

@@ -1,5 +1,6 @@
 """Tests for the campaign orchestrator: specs, goals, pools, resume."""
 
+import logging
 import multiprocessing
 import os
 
@@ -21,6 +22,20 @@ def crash_factory(scheduler):
     """A factory that kills its process outright — the crash-isolation
     workload.  Only ever invoked inside a sacrificial worker child."""
     os._exit(3)
+
+
+def spin_factory(scheduler):
+    """A run that never ends on its own: it ends by the per-run timeout."""
+    from repro.vm import Kernel, Tick
+
+    kernel = Kernel(scheduler=scheduler, max_steps=50_000_000)
+
+    def spinner():
+        while True:
+            yield Tick()
+
+    kernel.spawn(spinner, name="spin")
+    return kernel
 
 
 class TestSpecValidation:
@@ -188,6 +203,58 @@ class TestPooledCampaign:
         assert result.shards_requeued == 1  # one retry, then give up
         assert result.n_executed == 0
         assert result.goal_reached is None  # budget goal unmet
+
+
+class TestEngineLog:
+    """What the engine did is logged at INFO on ``repro.engine.campaign``."""
+
+    LOGGER = "repro.engine.campaign"
+
+    @needs_fork
+    def test_requeue_and_shard_failure_logged(self, caplog):
+        spec = CampaignSpec(
+            factory=f"{__name__}:crash_factory",
+            budget=5,
+            workers=1,
+            shard_size=5,
+            max_retries=1,
+        )
+        with caplog.at_level(logging.INFO, logger=self.LOGGER):
+            run_campaign(spec)
+        messages = [r.getMessage() for r in caplog.records if r.name == self.LOGGER]
+        assert all(r.levelno == logging.INFO for r in caplog.records)
+        assert messages == [
+            "shard random-000000-000005 requeued after attempt 1 "
+            "(backoff 0.5s): worker exited with code 3 without reporting",
+            "shard random-000000-000005 failed after 2 attempt(s): "
+            "worker exited with code 3 without reporting",
+        ]
+
+    def test_timed_out_run_and_resume_logged(self, caplog, tmp_path):
+        spec = CampaignSpec(
+            factory=f"{__name__}:spin_factory",
+            budget=1,
+            workers=0,
+            shard_size=1,
+            run_timeout=0.2,
+            journal_path=str(tmp_path / "c.jsonl"),
+        )
+        with caplog.at_level(logging.INFO, logger=self.LOGGER):
+            result = run_campaign(spec)
+            run_campaign(spec, resume=True)
+        assert result.statuses() == {"timeout": 1}
+        messages = [r.getMessage() for r in caplog.records if r.name == self.LOGGER]
+        timed_out = "run timed out: shard random-000000-000001, seed 0, index 0"
+        assert messages == [
+            timed_out,
+            "resuming 1 shard(s), 1 run(s) from journal "
+            f"{tmp_path / 'c.jsonl'}",
+            timed_out,
+        ]
+
+    def test_silent_without_logging_configured(self, capfd):
+        run_campaign(CampaignSpec(factory="pc-bug", budget=10, workers=0))
+        assert capfd.readouterr().err == ""
 
 
 class TestJournalAndResume:
@@ -392,9 +459,12 @@ class TestGoalTracking:
     def _aggregator(self, goal):
         from repro.engine.campaign import _Aggregator
         from repro.engine.progress import ProgressTracker
+        from repro.obs.live import LiveAggregator
 
         spec = CampaignSpec(factory="pc-ok", budget=self.N, workers=0, goal=goal)
-        return _Aggregator(spec, ProgressTracker(total_runs=spec.budget))
+        return _Aggregator(
+            spec, ProgressTracker(total_runs=spec.budget), LiveAggregator()
+        )
 
     @staticmethod
     def _summary(index, status="completed", detection=None):

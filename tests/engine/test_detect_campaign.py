@@ -162,6 +162,7 @@ class TestDetectCampaign:
 
     def test_progress_tracks_classes(self):
         progress = ProgressTracker(total_runs=30)
-        run_campaign(_inline_spec(detect=True), progress=progress)
-        assert progress.classes
+        result = run_campaign(_inline_spec(detect=True), progress=progress)
+        assert progress.state is result.state
+        assert progress.to_json_dict()["classes"] == dict(result.class_counts)
         assert "classes" in progress.render()

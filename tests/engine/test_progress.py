@@ -1,8 +1,10 @@
-"""Tests for the live campaign progress tracker."""
+"""Tests for the campaign heartbeat, a renderer of the campaign state."""
 
 import io
+import json
 
 from repro.engine.progress import ProgressTracker
+from repro.obs.metrics import MetricsRegistry
 from repro.testing.explorer import RunSummary
 
 
@@ -16,6 +18,33 @@ def stuck_run(index, threads=("c0",)):
     )
 
 
+def classified_run(index, *codes):
+    return RunSummary(
+        index=index,
+        status="stuck",
+        decisions=(index,),
+        stuck_threads=("c0",),
+        detection={"classes": list(codes)},
+    )
+
+
+def contended_run(index, monitor, ticks):
+    registry = MetricsRegistry()
+    registry.counter("vm_monitor_contended_ticks_total").inc(ticks, monitor=monitor)
+    return RunSummary(
+        index=index,
+        status="completed",
+        decisions=(index,),
+        metrics=registry.snapshot().to_dict(),
+    )
+
+
+def fold(tracker, *runs, duplicate=False):
+    """Fold runs into the tracker's state, as the campaign does."""
+    for run in runs:
+        tracker.state.note_run(run, duplicate)
+
+
 class FakeClock:
     def __init__(self):
         self.now = 100.0
@@ -24,40 +53,60 @@ class FakeClock:
         return self.now
 
 
+class FakeCoverage:
+    def __init__(self, fraction):
+        self.fraction = fraction
+
+    def coverage_fraction(self):
+        return self.fraction
+
+
 class TestCounters:
     def test_runs_failures_signatures(self):
         tracker = ProgressTracker(total_runs=10)
-        tracker.note_run(ok_run(0))
-        tracker.note_run(stuck_run(1))
-        tracker.note_run(stuck_run(2))  # same signature
-        tracker.note_run(stuck_run(3, threads=("c1",)))
-        assert tracker.runs == 4
-        assert tracker.failures == 3
-        assert len(tracker.signatures) == 2
+        fold(tracker, ok_run(0), stuck_run(1), stuck_run(2))  # same signature
+        fold(tracker, stuck_run(3, threads=("c1",)))
+        record = tracker.to_json_dict()
+        assert record["runs"] == 4
+        assert record["failures"] == 3
+        assert record["signatures"] == 2
 
     def test_duplicates_counted_separately(self):
         tracker = ProgressTracker()
-        tracker.note_run(ok_run(0))
-        tracker.note_run(ok_run(0), duplicate=True)
-        assert tracker.runs == 2
-        assert tracker.duplicates == 1
+        fold(tracker, ok_run(0), stuck_run(1))
+        fold(tracker, ok_run(0), stuck_run(1), duplicate=True)
+        record = tracker.to_json_dict()
+        assert record["runs"] == 4  # executions, duplicates included
+        assert record["duplicates"] == 2
+        assert record["failures"] == 2  # failing executions
+        assert tracker.state.runs == 2 and tracker.state.failures == 1
 
     def test_shard_lifecycle(self):
         tracker = ProgressTracker()
-        tracker.shards_total = 5
-        tracker.note_shards_resumed(2)
-        tracker.note_shard_done()
-        tracker.note_shard_requeued()
-        tracker.note_shard_failed()
-        assert tracker.shards_done == 3  # 2 resumed + 1 fresh
-        assert tracker.shards_requeued == 1
-        assert tracker.shards_failed == 1
+        tracker.state.set_shards_total(5)
+        tracker.state.note_shards_resumed(["a", "b"])
+        tracker.state.note_shard_done("c")
+        tracker.state.note_shard_requeued("d")
+        tracker.state.note_shard_failed("e")
+        assert tracker.to_json_dict()["shards"] == {
+            "done": 3,  # 2 resumed + 1 fresh
+            "total": 5,
+            "failed": 1,
+            "requeued": 1,
+            "resumed": 2,
+        }
+
+    def test_hooks_keep_no_counters(self):
+        tracker = ProgressTracker()
+        tracker.note_run(stuck_run(0))
+        tracker.note_shard_requeued("s1")
+        assert tracker.to_json_dict()["runs"] == 0
+        assert tracker.state.shards_requeued == 0
 
     def test_runs_per_sec(self):
         clock = FakeClock()
         tracker = ProgressTracker(clock=clock)
-        for i in range(50):
-            tracker.note_run(ok_run(i))
+        fold(tracker, *(ok_run(i) for i in range(50)))
         clock.now += 2.0
         assert tracker.runs_per_sec() == 50 / 2.0
 
@@ -65,7 +114,7 @@ class TestCounters:
 class TestEta:
     def test_none_without_budget(self):
         tracker = ProgressTracker()
-        tracker.note_run(ok_run(0))
+        fold(tracker, ok_run(0))
         assert tracker.eta_seconds() is None
 
     def test_none_before_first_run(self):
@@ -74,16 +123,14 @@ class TestEta:
     def test_remaining_over_rate(self):
         clock = FakeClock()
         tracker = ProgressTracker(total_runs=100, clock=clock)
-        for i in range(20):
-            tracker.note_run(ok_run(i))
+        fold(tracker, *(ok_run(i) for i in range(20)))
         clock.now += 4.0  # 5 runs/s observed, 80 remaining
         assert tracker.eta_seconds() == 80 / 5.0
 
     def test_zero_once_budget_met(self):
         clock = FakeClock()
         tracker = ProgressTracker(total_runs=2, clock=clock)
-        tracker.note_run(ok_run(0))
-        tracker.note_run(ok_run(1))
+        fold(tracker, ok_run(0), ok_run(1))
         clock.now += 1.0
         assert tracker.eta_seconds() == 0.0
 
@@ -97,15 +144,22 @@ class TestEta:
 class TestRendering:
     def test_render_mentions_everything(self):
         tracker = ProgressTracker(total_runs=20)
-        tracker.shards_total = 4
-        tracker.note_run(stuck_run(0))
-        tracker.coverage_fraction = 0.5
+        tracker.state.set_shards_total(4)
+        tracker.coverage = FakeCoverage(0.5)
+        fold(tracker, stuck_run(0))
         line = tracker.render()
         assert "runs 1/20" in line
         assert "failures 1" in line
         assert "signatures 1" in line
         assert "coverage 50%" in line
         assert "shards 0/4" in line
+
+    def test_coverage_shown_once_a_unique_run_merged(self):
+        tracker = ProgressTracker()
+        tracker.coverage = FakeCoverage(0.25)
+        assert "coverage" not in tracker.render()
+        fold(tracker, ok_run(0))
+        assert "coverage 25%" in tracker.render()
 
     def test_emit_rate_limited(self):
         clock = FakeClock()
@@ -133,11 +187,10 @@ class TestRendering:
     def test_render_includes_eta_and_hot_monitor(self):
         clock = FakeClock()
         tracker = ProgressTracker(total_runs=100, clock=clock)
-        for i in range(20):
-            tracker.note_run(ok_run(i))
+        fold(tracker, *(classified_run(i, "FF-T5") for i in range(3)))
+        fold(tracker, *(ok_run(i) for i in range(3, 19)))
+        fold(tracker, contended_run(19, "Buffer", 120))
         clock.now += 4.0
-        tracker.classes["FF-T5"] = 3
-        tracker.top_contended = ("Buffer", 120.0)
         line = tracker.render()
         assert "eta 16s" in line
         assert "classes FF-T5:3" in line
@@ -148,12 +201,9 @@ class TestFinalSummary:
     def test_render_final(self):
         clock = FakeClock()
         tracker = ProgressTracker(total_runs=4, clock=clock)
-        tracker.note_run(ok_run(0))
-        tracker.note_run(stuck_run(1))
+        tracker.coverage = FakeCoverage(0.75)
+        fold(tracker, contended_run(0, "Queue", 42), classified_run(1, "FF-T2"))
         clock.now += 2.0
-        tracker.classes["FF-T2"] = 1
-        tracker.coverage_fraction = 0.75
-        tracker.top_contended = ("Queue", 42.0)
         line = tracker.render_final()
         assert line.startswith("done: 2 runs in 2s (1.0/s)")
         assert "failures 1 (1 signature(s))" in line
@@ -169,8 +219,6 @@ class TestFinalSummary:
         assert "hottest" not in line
 
     def test_emit_final_ignores_rate_limit(self):
-        import io
-
         stream = io.StringIO()
         tracker = ProgressTracker(stream=stream, interval=60.0)
         tracker.maybe_emit()  # consumes the rate-limit slot
@@ -194,14 +242,11 @@ class TestJsonMode:
         return tracker, clock
 
     def test_heartbeat_is_one_json_object_per_line(self):
-        import json
-
         stream = io.StringIO()
         tracker, clock = self._tracker(stream)
-        tracker.shards_total = 4
+        tracker.state.set_shards_total(4)
         clock.now += 2.0
-        tracker.note_run(ok_run(0))
-        tracker.note_run(stuck_run(1))
+        fold(tracker, ok_run(0), stuck_run(1))
         tracker.maybe_emit(force=True)
         (line,) = stream.getvalue().splitlines()
         record = json.loads(line)
@@ -222,8 +267,6 @@ class TestJsonMode:
         assert "final" not in record
 
     def test_final_record_flagged(self):
-        import json
-
         stream = io.StringIO()
         tracker, _ = self._tracker(stream)
         tracker.emit_final()
@@ -231,14 +274,12 @@ class TestJsonMode:
         assert record["final"] is True
 
     def test_optional_fields_appear_when_populated(self):
-        import json
-
         stream = io.StringIO()
         tracker, _ = self._tracker(stream)
-        tracker.classes["DD.AB"] = 2
-        tracker.coverage_fraction = 0.5
-        tracker.top_contended = ("Buffer", 17.0)
-        tracker.note_shard_requeued("sh-1")
+        tracker.coverage = FakeCoverage(0.5)
+        fold(tracker, classified_run(0, "DD.AB"), classified_run(1, "DD.AB"))
+        fold(tracker, contended_run(2, "Buffer", 17))
+        tracker.state.note_shard_requeued("sh-1")
         tracker.maybe_emit(force=True)
         record = json.loads(stream.getvalue())
         assert record["classes"] == {"DD.AB": 2}
@@ -249,6 +290,6 @@ class TestJsonMode:
     def test_text_mode_unchanged_by_default(self):
         stream = io.StringIO()
         tracker = ProgressTracker(total_runs=10, stream=stream, interval=0.0)
-        tracker.note_run(ok_run(0))
+        fold(tracker, ok_run(0))
         tracker.maybe_emit(force=True)
         assert stream.getvalue().startswith("runs 1/10")

@@ -242,19 +242,21 @@ class TestFaultedCampaignResume:
 class TestRequeueBookkeeping:
     def test_progress_tracks_per_shard_attempts(self):
         progress = ProgressTracker(stream=io.StringIO(), interval=0.0)
-        progress.shards_total = 3
-        progress.note_shard_requeued("s1")
-        progress.note_shard_requeued("s1")
-        progress.note_shard_requeued("s2")
+        progress.state.set_shards_total(3)
+        progress.state.note_shard_requeued("s1")
+        progress.state.note_shard_requeued("s1")
+        progress.state.note_shard_requeued("s2")
         line = progress.render()
         assert "shards 0/3 (3 requeued)" in line
         assert "attempts s1x3,s2x2" in line
 
-    def test_anonymous_requeue_still_counted(self):
+    def test_requeue_hook_records_nothing(self):
+        # The state records requeues; the tracker's hook only observes.
         progress = ProgressTracker()
         progress.note_shard_requeued()
-        assert progress.shards_requeued == 1
-        assert progress.shard_attempts == {}
+        progress.note_shard_requeued("s1")
+        assert progress.state.shards_requeued == 0
+        assert progress.attempts() == {}
 
     def test_backoff_grows_and_caps(self):
         from repro.engine.campaign import (

@@ -48,6 +48,15 @@ class TestNoteRun:
         assert agg.duplicates == 1
         assert agg.statuses == {"completed": 1}
 
+    def test_failed_executions_include_duplicates(self):
+        agg = LiveAggregator()
+        stuck = summary(status="stuck", stuck_threads=("t",))
+        agg.note_run(stuck, False)
+        agg.note_run(stuck, True)
+        agg.note_run(summary(index=1, decisions=(1,)), False)
+        assert agg.failures == 1  # unique schedules
+        assert agg.failed_executions == 2  # executions
+
     def test_classes_folded_from_unique_runs_only(self):
         agg = LiveAggregator()
         s = summary(detection={"classes": ["DD.AB"]})
@@ -66,10 +75,10 @@ class TestNoteRun:
     def test_frame_counters_update_shard_row(self):
         agg = LiveAggregator()
         s = summary(status="timeout")
-        frame = TelemetryFrame.for_run("sh-0", s, runs=4, timeouts=2, attempt=2)
+        frame = TelemetryFrame.for_run("sh-0", s, runs=4, timeouts=2)
         agg.note_run(s, False, shard_id="sh-0", frame=frame)
         row = agg.shards["sh-0"]
-        assert (row.runs, row.timeouts, row.attempts) == (4, 2, 2)
+        assert (row.runs, row.timeouts, row.attempts) == (4, 2, 1)
         assert row.state == "running"
 
     def test_frameless_run_increments_shard_row(self):
@@ -166,6 +175,16 @@ class TestRegistryView:
         info = registry.get("campaign_info")
         assert info is not None
 
+    def test_throughput_over_given_wall_time(self):
+        clock = FakeClock()
+        agg = LiveAggregator(clock=clock)
+        for index in range(6):
+            agg.note_run(summary(index=index, decisions=(index,)), False)
+        clock.now += 2.0
+        rate = "campaign_runs_per_second"
+        assert agg.registry().get(rate).get() == 3.0  # over elapsed time
+        assert agg.registry(wall_time=3.0).get(rate).get() == 2.0
+
     def test_per_run_metrics_folded_in(self):
         agg = LiveAggregator()
         agg.note_run(summary(metrics=metrics_dict(vm_steps_total=3)), False)
@@ -195,6 +214,14 @@ class TestSubscribers:
             frames.append(subscriber.get_nowait())
         assert len(frames) == 256
         assert frames[-1]["seq"] == 300  # newest survives, oldest dropped
+
+    def test_no_run_frame_built_without_subscribers(self):
+        agg = LiveAggregator()
+        agg.note_run(summary(), False)
+        subscriber = agg.subscribe()
+        agg.note_run(summary(index=1, decisions=(1,)), False)
+        # seq numbers published frames only
+        assert subscriber.get_nowait()["seq"] == 1
 
     def test_unsubscribe_stops_delivery(self):
         agg = LiveAggregator()

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.obs.live.frames import (
-    FRAME_RUN,
-    FRAME_SHARD_DONE,
-    FRAME_SHARD_FAILED,
-    TelemetryFrame,
-)
+from repro.obs.live.frames import FRAME_RUN, TelemetryFrame
 from repro.testing.explorer import RunSummary
 
 
@@ -32,18 +27,6 @@ class TestConstructors:
         frame = TelemetryFrame.for_run("sh-0", s, runs=1)
         assert frame.classes == ("DD.AB", "LD")
 
-    def test_shard_done_frame(self):
-        frame = TelemetryFrame.for_shard_done("sh-1", runs=25, exhausted=True)
-        assert frame.kind == FRAME_SHARD_DONE
-        assert frame.exhausted
-        assert frame.summary is None
-
-    def test_shard_failed_frame(self):
-        frame = TelemetryFrame.for_shard_failed("sh-2", "boom", attempt=3)
-        assert frame.kind == FRAME_SHARD_FAILED
-        assert frame.error == "boom"
-        assert frame.attempt == 3
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown frame kind"):
             TelemetryFrame(kind="bogus", shard="sh")
@@ -58,25 +41,17 @@ class TestWireFormat:
             detection={"classes": ["NoN"]},
             metrics={"metrics": []},
         )
-        frame = TelemetryFrame.for_run("sh-0", s, runs=3, timeouts=1, attempt=2)
+        frame = TelemetryFrame.for_run("sh-0", s, runs=3, timeouts=1)
         back = TelemetryFrame.from_dict(frame.to_dict())
         assert back == frame
         assert back.summary == s
-
-    def test_round_trip_shard_frames(self):
-        for frame in (
-            TelemetryFrame.for_shard_done("sh", runs=5, exhausted=True),
-            TelemetryFrame.for_shard_failed("sh", "worker died"),
-        ):
-            assert TelemetryFrame.from_dict(frame.to_dict()) == frame
 
     def test_to_dict_elides_defaults(self):
         frame = TelemetryFrame(kind=FRAME_RUN, shard="sh")
         assert frame.to_dict() == {"kind": "run", "shard": "sh"}
 
-    def test_embedded_summary_dict_matches_legacy_payload(self):
-        # The frame's summary dict is byte-identical to the old
-        # ("run", shard, summary_dict) payload — journal compatibility.
+    def test_embedded_summary_dict_is_the_summary_dict(self):
+        # The frame carries the summary dict the journal records.
         s = summary(seed=7)
         frame = TelemetryFrame.for_run("sh", s, runs=1)
         assert frame.to_dict()["summary"] == s.to_dict()
