@@ -5,8 +5,9 @@
 
 * :mod:`~repro.engine.shards` — partition the schedule space (seed
   ranges, DFS decision-prefix subtrees) into independent shards;
-* :mod:`~repro.engine.worker` — the crash-isolated child-process entry
-  point, with per-run wall-clock timeouts;
+* :mod:`~repro.engine.worker` — the long-lived, crash-isolated worker
+  process loop (shards in over a pipe, one frame per run back), with
+  per-run wall-clock timeouts;
 * :mod:`~repro.engine.journal` — the JSONL checkpoint that makes a
   killed campaign resumable without rework;
 * :mod:`~repro.engine.progress` — the heartbeat rendering the campaign

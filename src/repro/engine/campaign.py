@@ -6,9 +6,14 @@ Ext-B) run at scale.  The orchestrator:
 
 * plans the schedule space into :class:`~repro.engine.shards.Shard`\\ s
   (seed ranges for random/PCT, DFS prefix partitions for systematic);
-* fans shards out over a ``multiprocessing`` worker pool with crash
-  isolation — a worker that dies or hangs marks its shard failed and the
-  shard is requeued with bounded retries;
+* fans shards out over a pool of long-lived ``multiprocessing``
+  workers, each forked once and fed shard after shard over its own
+  duplex pipe; the orchestrator waits on every pipe and every process
+  sentinel at once, and sends a worker its next shard as soon as its
+  ``done`` arrives, before the finished shard's journal fsync;
+* isolates crashes — a worker that dies, raises or outlives its shard
+  deadline is terminated and replaced, and its shard is requeued with
+  bounded retries and backoff; no worker outlives the campaign;
 * merges streamed :class:`~repro.testing.explorer.RunSummary` messages,
   deduping by decision-sequence hash and folding per-arc coverage hits
   into one mergeable :class:`~repro.coverage.matrix.CoverageMatrix`;
@@ -69,6 +74,14 @@ PLAN_SHARD_ID = "plan"
 #: crash) must not hog a pool slot in a tight relaunch loop.
 _REQUEUE_BACKOFF_BASE = 0.5
 _REQUEUE_BACKOFF_CAP = 15.0
+
+#: A shard counts as hung once it has run this long past the sum of its
+#: runs' timeouts, counted from its dispatch.
+_SHARD_DEADLINE_SLACK = 30.0
+
+#: Longest the pool waits for a worker message before it refreshes the
+#: heartbeat and rechecks deadlines.
+_HEARTBEAT_WAKE = 1.0
 
 
 class CampaignError(ValueError):
@@ -195,7 +208,8 @@ class CampaignSpec:
 
     def run_config(self) -> RunConfig:
         """The run-layer view of this campaign: how every run in every
-        shard is assembled (shipped to workers inside each WorkerTask)."""
+        shard is assembled (handed to each pooled worker when it is
+        forked, and to inline shards inside each WorkerTask)."""
         return RunConfig(
             workload=self.factory,
             component=self.component,
@@ -615,12 +629,18 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-@dataclass
-class _Active:
+@dataclass(eq=False)
+class _Worker:
+    """One long-lived pool process and the shard it is executing."""
+
     process: Any
-    shard: Shard
-    deadline: float
-    dead_since: Optional[float] = None
+    #: the orchestrator's end of the worker's duplex pipe
+    conn: Any
+    shard: Optional[Shard] = None
+    #: monotonic time past which the current shard counts as hung
+    deadline: float = 0.0
+    #: the current shard's summaries, journaled when it is done
+    summaries: List[RunSummary] = field(default_factory=list)
 
 
 def run_campaign(
@@ -694,11 +714,13 @@ def run_campaign(
         # The systematic planner re-ran during _plan (its runs are the
         # price of rebuilding the deterministic shard list); merge them
         # only when they were not already journaled.
-        if planner_summaries and PLAN_SHARD_ID not in completed:
-            for summary in planner_summaries:
-                aggregator.merge(summary, shard_id=PLAN_SHARD_ID)
-            if journal is not None:
-                journal.append_shard(PLAN_SHARD_ID, planner_summaries)
+        if planner_summaries:
+            if PLAN_SHARD_ID not in completed:
+                for summary in planner_summaries:
+                    aggregator.merge(summary, shard_id=PLAN_SHARD_ID)
+                if journal is not None:
+                    journal.append_shard(PLAN_SHARD_ID, planner_summaries)
+            state.note_shard_done(PLAN_SHARD_ID, counted=False)
 
         pending = deque(s for s in shards if s.shard_id not in resumed_ids)
         goal = aggregator.goal_reached()
@@ -786,35 +808,84 @@ def _run_pool(
     progress: ProgressTracker,
     exhausted_flags: Dict[str, bool],
 ) -> Optional[str]:
-    """The multiprocess orchestration loop: bounded pool, crash isolation,
-    shard deadlines, bounded retries, early goal stop."""
-    from queue import Empty
+    """The multiprocess orchestration loop: at most ``spec.workers``
+    long-lived workers, each fed shards over its own pipe, with crash
+    isolation, shard deadlines, bounded retries and early goal stop."""
+    # imported here so inline campaigns do not load it
+    from multiprocessing.connection import wait
 
     state = aggregator.state
     ctx = _mp_context()
-    queue = ctx.Queue()
-    active: Dict[str, _Active] = {}
-    buffers: Dict[str, List[RunSummary]] = {}
+    forking = ctx.get_start_method() == "fork"
+    config = spec.run_config()
+    stop_on_failure = spec.goal == "first-failure"
+    workers: List[_Worker] = []
     retries: Dict[str, int] = {}
     #: shard id -> earliest monotonic time a requeued shard may relaunch
     retry_not_before: Dict[str, float] = {}
     goal: Optional[str] = None
-    #: grace period between a worker dying and the shard being declared
-    #: crashed, so in-flight queue messages (including "done") can drain.
-    grace = 1.0
 
-    def launch(shard: Shard) -> None:
-        task = spec.worker_task(shard)
-        process = ctx.Process(target=worker_main, args=(task, queue), daemon=True)
-        process.start()
-        deadline = (
-            time.monotonic() + spec.run_timeout * max(1, shard.max_runs) + 30.0
+    def fork() -> None:
+        conn, child_conn = ctx.Pipe()
+        # A forked child inherits every orchestrator-side pipe end; it
+        # closes them first, so it reads end-of-file once the
+        # orchestrator is gone instead of outliving it.
+        inherited = [w.conn for w in workers] + [conn] if forking else []
+        process = ctx.Process(
+            target=worker_main,
+            args=(child_conn, config, stop_on_failure, inherited),
+            daemon=True,
         )
-        active[shard.shard_id] = _Active(process, shard, deadline)
-        buffers[shard.shard_id] = []
+        process.start()
+        # Only the child may hold its end: a dead child then reads as EOF.
+        child_conn.close()
+        workers.append(_Worker(process, conn))
+
+    def stop(worker: _Worker, exited: bool = False) -> None:
+        workers.remove(worker)
+        if not exited:
+            worker.process.terminate()
+        worker.process.join(timeout=5.0)
+        if worker.process.exitcode is None:
+            worker.process.kill()
+            worker.process.join()
+        worker.conn.close()
+
+    def dispatch(worker: _Worker) -> None:
+        """Send ``worker`` the first pending shard past its backoff;
+        requeued shards still inside their backoff window rotate to the
+        back so they never block fresh work behind them."""
+        now = time.monotonic()
+        for _ in range(len(pending)):
+            shard = pending.popleft()
+            if retry_not_before.get(shard.shard_id, 0.0) > now:
+                pending.append(shard)
+                continue
+            try:
+                worker.conn.send(shard)
+            except OSError:  # died while idle: the shard was never sent
+                pending.appendleft(shard)
+                stop(worker, exited=True)
+                return
+            worker.shard = shard
+            budget = spec.run_timeout * max(1, shard.max_runs)
+            worker.deadline = now + budget + _SHARD_DEADLINE_SLACK
+            worker.summaries = []
+            return
+
+    def fill() -> None:
+        """Fork up to the pool's width (never more workers than shards
+        left to run) and hand every idle worker a shard."""
+        if goal is not None:
+            return
+        busy = sum(1 for w in workers if w.shard is not None)
+        while len(workers) < min(spec.workers, busy + len(pending)):
+            fork()
+        for worker in list(workers):
+            if worker.shard is None and pending:
+                dispatch(worker)
 
     def requeue_or_fail(shard: Shard, error: str) -> None:
-        buffers.pop(shard.shard_id, None)
         attempt = retries.get(shard.shard_id, 0) + 1
         retries[shard.shard_id] = attempt
         if attempt <= spec.max_retries:
@@ -841,86 +912,84 @@ def _run_pool(
                 error,
             )
 
-    def retire(shard_id: str) -> Optional[_Active]:
-        entry = active.pop(shard_id, None)
-        if entry is not None:
-            entry.process.join(timeout=5.0)
-        return entry
+    def lose(worker: _Worker, error: Optional[str] = None) -> None:
+        """Stop ``worker`` and requeue the shard it held; ``error`` is
+        None for a worker that exited without reporting."""
+        stop(worker, exited=error is None)
+        if worker.shard is not None:
+            requeue_or_fail(
+                worker.shard,
+                error
+                or f"worker exited with code {worker.process.exitcode} "
+                "without reporting",
+            )
 
-    def handle(kind: str, shard_id: str, payload) -> None:
+    def handle(worker: _Worker, message) -> None:
         nonlocal goal
+        kind, shard_id, payload = message
         if kind == "frame":
             frame = TelemetryFrame.from_dict(payload)
             summary = frame.summary
-            if shard_id in buffers:
-                buffers[shard_id].append(summary)
+            worker.summaries.append(summary)
             aggregator.merge(summary, shard_id=shard_id, frame=frame)
             if goal is None:
                 goal = aggregator.goal_reached()
         elif kind == "done":
+            summaries = worker.summaries
+            worker.shard = None
+            # The next shard goes out before this one's journal fsync, so
+            # the worker never idles on the orchestrator's disk write.
+            if goal is None:
+                dispatch(worker)
             exhausted_flags[shard_id] = bool(payload)
-            summaries = buffers.pop(shard_id, [])
             if journal is not None:
                 journal.append_shard(shard_id, summaries, exhausted=bool(payload))
             state.note_shard_done(shard_id, exhausted=bool(payload))
-            retire(shard_id)
         elif kind == "fail":
-            entry = retire(shard_id)
-            if entry is not None:
-                requeue_or_fail(entry.shard, error=str(payload))
+            lose(worker, error=str(payload))
 
     try:
-        while (pending or active) and goal is None:
-            # Launch every eligible shard; requeued shards still inside
-            # their backoff window rotate to the back so they never block
-            # fresh work behind them.
+        fill()
+        while goal is None and (
+            pending or any(w.shard is not None for w in workers)
+        ):
             now = time.monotonic()
-            for _ in range(len(pending)):
-                if len(active) >= spec.workers:
-                    break
-                shard = pending.popleft()
-                if retry_not_before.get(shard.shard_id, 0.0) > now:
-                    pending.append(shard)
-                else:
-                    launch(shard)
-
-            # Drain every available message before judging liveness, so a
-            # cleanly finished worker is never mistaken for a crash.
-            try:
-                message = queue.get(timeout=0.05)
-            except Empty:
-                message = None
-            while message is not None:
-                handle(*message)
-                try:
-                    message = queue.get_nowait()
-                except Empty:
-                    message = None
-
+            wake = min(
+                [now + _HEARTBEAT_WAKE]
+                + [w.deadline for w in workers if w.shard is not None]
+            )
+            if pending and any(w.shard is None for w in workers):
+                # an idle worker waits out a requeued shard's backoff
+                wake = min(
+                    [wake] + [retry_not_before.get(s.shard_id, now) for s in pending]
+                )
+            handles: Dict[Any, _Worker] = {}
+            for worker in workers:
+                handles[worker.conn] = worker
+                handles[worker.process.sentinel] = worker
+            ready = wait(list(handles), timeout=max(0.0, wake - now))
+            for handle_ in ready:
+                worker = handles[handle_]
+                # Drain the pipe before judging the sentinel, so a
+                # worker's last messages are never mistaken for a crash.
+                while worker in workers:
+                    try:
+                        if not worker.conn.poll():
+                            break
+                        message = worker.conn.recv()
+                    except (EOFError, OSError):  # the worker is gone
+                        lose(worker)
+                        break
+                    handle(worker, message)
+                if worker in workers and handle_ == worker.process.sentinel:
+                    lose(worker)
             now = time.monotonic()
-            for shard_id, entry in list(active.items()):
-                if not entry.process.is_alive():
-                    if entry.dead_since is None:
-                        entry.dead_since = now
-                    elif now - entry.dead_since > grace:
-                        # died without a done/fail message: hard crash
-                        retire(shard_id)
-                        requeue_or_fail(
-                            entry.shard,
-                            "worker exited with code "
-                            f"{entry.process.exitcode} without reporting",
-                        )
-                elif now > entry.deadline:
-                    entry.process.terminate()
-                    retire(shard_id)
-                    requeue_or_fail(entry.shard, "shard deadline exceeded")
+            for worker in list(workers):
+                if worker.shard is not None and now > worker.deadline:
+                    lose(worker, error="shard deadline exceeded")
+            fill()
             progress.maybe_emit()
     finally:
-        for _shard_id, entry in list(active.items()):
-            if entry.process.is_alive():
-                entry.process.terminate()
-            entry.process.join(timeout=5.0)
-        active.clear()
-        queue.close()
-        queue.cancel_join_thread()
+        for worker in list(workers):
+            stop(worker)
     return goal

@@ -1,27 +1,28 @@
-"""Campaign worker: executes one shard, streaming compact summaries.
+"""Campaign worker: a long-lived process that executes shard after shard.
 
-Runs in a child process (or inline, for ``workers=0`` debugging).  The
-worker receives a picklable :class:`~repro.run.config.RunConfig` —
-nothing unpicklable crosses the process boundary — builds **one**
-:class:`~repro.run.executor.RunExecutor` from it, and drives the
-matching explorer over its shard's seeds or DFS prefixes, posting one
+A pooled campaign forks each worker **once**.  The worker receives the
+campaign's picklable :class:`~repro.run.config.RunConfig` at fork time,
+builds **one** :class:`~repro.run.executor.RunExecutor` from it when its
+first shard arrives, and reuses that executor for every later shard (the
+detector pipeline, instrumentation sink and fault injector are reset
+between runs, never rebuilt).  Shards arrive over the worker's own
+duplex pipe; for each run the worker sends back one
 :class:`~repro.obs.live.frames.TelemetryFrame` (wrapping the run's
 :class:`~repro.testing.explorer.RunSummary` plus shard-local counters)
-per completed run and a final ``done`` message.  The orchestrator treats
-a missing ``done`` as a crashed/hung worker and requeues the shard.
+and, when the shard ends, a ``done`` or ``fail`` message.  The
+orchestrator treats a worker that exits without either as crashed and
+requeues its shard.
 
-The executor assembles the detector pipeline / instrumentation sink once
-per shard and resets them between runs (the old per-run reconstruction
-was pure allocation overhead — bench Ext-J measures the reduction).
-Per-run wall-clock timeouts use ``SIGALRM`` where available (child
-processes run in their main thread, so the signal contract holds); see
+``workers=0`` campaigns call :func:`execute_shard` inline instead.
+Per-run wall-clock timeouts use ``SIGALRM`` where available (a worker
+runs shards in its main thread, so the signal contract holds); see
 :func:`repro.run.executor.timed_runner`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.obs.live.frames import TelemetryFrame
 from repro.run.config import RunConfig
@@ -60,14 +61,18 @@ class ShardOutcome:
 def execute_shard(
     task: WorkerTask,
     emit: Optional[Callable[[RunSummary], None]] = None,
+    executor: Optional[RunExecutor] = None,
 ) -> ShardOutcome:
     """Run one shard to completion in this process.
 
     ``emit`` is called with each run's summary as it completes (the
-    streaming hook: the process worker posts to the result queue, inline
-    mode feeds the orchestrator's aggregator directly).
+    streaming hook: the pooled worker sends a frame down its pipe,
+    inline mode feeds the orchestrator's aggregator directly).
+    ``executor`` is reused when given (a pooled worker's one executor);
+    otherwise one is built from ``task.config`` for this shard.
     """
-    executor = RunExecutor(task.config)
+    if executor is None:
+        executor = RunExecutor(task.config)
     outcome = ShardOutcome(shard_id=task.shard.shard_id)
 
     def on_run(run: ExplorationRun) -> None:
@@ -100,42 +105,67 @@ def execute_shard(
     return outcome
 
 
-def worker_main(task: WorkerTask, queue) -> None:
-    """Child-process entry point: execute the shard, streaming messages.
+def worker_main(
+    conn,
+    config: RunConfig,
+    stop_on_failure: bool = False,
+    inherited: Sequence[Any] = (),
+) -> None:
+    """Child-process entry point: execute every shard received on ``conn``.
 
-    Message protocol (all tuples, all picklable):
+    The worker loops on ``conn.recv()`` for :class:`Shard` objects and
+    returns when the pipe reaches end-of-file.  Message protocol back
+    (all tuples, all picklable):
 
     * ``("frame", shard_id, frame_dict)`` — one
       :class:`~repro.obs.live.frames.TelemetryFrame` per completed run,
       carrying the run's summary plus shard-local counters (runs so far,
       timeouts) for live telemetry;
-    * ``("done", shard_id, exhausted)`` — the shard finished;
-    * ``("fail", shard_id, error_text)`` — the shard raised; the
-      orchestrator decides whether to requeue.
+    * ``("done", shard_id, exhausted)`` — the shard finished; the worker
+      waits for its next shard;
+    * ``("fail", shard_id, error_text)`` — the shard raised; the worker
+      returns, and the orchestrator replaces it and decides whether to
+      requeue the shard.
 
     A worker that dies without posting ``done``/``fail`` (hard crash,
     ``kill -9``, segfault in an extension) is detected by the orchestrator
-    via process liveness — that is the crash-isolation contract.
+    through its process sentinel: that is the crash-isolation contract.
+
+    ``inherited`` are orchestrator-side pipe ends this process got by
+    fork; they are closed first, so the pipe reads end-of-file, and the
+    worker exits, once the orchestrator is gone.
     """
-    shard_id = task.shard.shard_id
-    runs = 0
-    timeouts = 0
-
-    def emit(summary: RunSummary) -> None:
-        nonlocal runs, timeouts
-        runs += 1
-        if summary.status == RunStatus.TIMEOUT.value:
-            timeouts += 1
-        frame = TelemetryFrame.for_run(
-            shard_id, summary, runs=runs, timeouts=timeouts
-        )
-        queue.put(("frame", shard_id, frame.to_dict()))
-
-    try:
-        outcome = execute_shard(task, emit=emit)
-        queue.put(("done", shard_id, outcome.exhausted))
-    except BaseException as exc:  # noqa: BLE001 - report, then die quietly
+    for end in inherited:
+        end.close()
+    executor: Optional[RunExecutor] = None
+    while True:
         try:
-            queue.put(("fail", shard_id, f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
+            shard = conn.recv()
+        except (EOFError, OSError):
+            return
+        shard_id = shard.shard_id
+        runs = 0
+        timeouts = 0
+
+        def emit(summary: RunSummary) -> None:
+            nonlocal runs, timeouts
+            runs += 1
+            if summary.status == RunStatus.TIMEOUT.value:
+                timeouts += 1
+            frame = TelemetryFrame.for_run(
+                shard_id, summary, runs=runs, timeouts=timeouts
+            )
+            conn.send(("frame", shard_id, frame.to_dict()))
+
+        try:
+            if executor is None:
+                executor = RunExecutor(config)
+            task = WorkerTask(shard, config, stop_on_failure)
+            outcome = execute_shard(task, emit=emit, executor=executor)
+            conn.send(("done", shard_id, outcome.exhausted))
+        except BaseException as exc:  # noqa: BLE001 - report, then exit
+            try:
+                conn.send(("fail", shard_id, f"{type(exc).__name__}: {exc}"))
+            except Exception:
+                pass
+            return

@@ -190,9 +190,15 @@ class LiveAggregator:
                     }
                 )
 
-    def note_shard_done(self, shard_id: str, exhausted: bool = False) -> None:
+    def note_shard_done(
+        self, shard_id: str, exhausted: bool = False, counted: bool = True
+    ) -> None:
+        """Mark ``shard_id`` done.  ``counted=False`` is for a pseudo
+        shard outside :attr:`shards_total` (the systematic planner's own
+        runs): its row reads done, but no shard count moves."""
         with self._lock:
-            self.shards_done += 1
+            if counted:
+                self.shards_done += 1
             row = self._row(shard_id)
             if row is not None:
                 row.state = "done"

@@ -1,11 +1,11 @@
 """Telemetry frames: the compact streaming currency of a live campaign.
 
 A :class:`TelemetryFrame` is what a campaign worker posts to the
-orchestrator queue for every completed run — the run's
+orchestrator over its pipe for every completed run — the run's
 :class:`~repro.testing.explorer.RunSummary` plus the shard-local counters
 the summary alone cannot provide: how many runs this shard has completed
 so far and how many of them timed out.  Frames are plain-dict
-serializable, so they ride the multiprocessing queue unchanged, and the
+serializable, so they ride the worker's pipe unchanged, and the
 embedded summary dict is the one the journal records.
 
 The campaign state (:class:`~repro.obs.live.aggregate.LiveAggregator`)
@@ -16,7 +16,7 @@ projection of each one (see :mod:`repro.obs.live.server`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from repro.testing.explorer import RunSummary
 
@@ -36,15 +36,14 @@ class TelemetryFrame:
         runs: runs this shard has completed so far, the carried one
             included.
         timeouts: how many of those runs ended with TIMEOUT status.
-        classes: failure-class codes detected by the carried run.
-        summary: the carried run.
+        summary: the carried run (its detected classes ride inside its
+            detection summary).
     """
 
     kind: str
     shard: str
     runs: int = 0
     timeouts: int = 0
-    classes: Tuple[str, ...] = ()
     summary: Optional[RunSummary] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -66,7 +65,6 @@ class TelemetryFrame:
             shard=shard,
             runs=runs,
             timeouts=timeouts,
-            classes=summary.detected_classes,
             summary=summary,
         )
 
@@ -79,8 +77,6 @@ class TelemetryFrame:
             payload["runs"] = self.runs
         if self.timeouts:
             payload["timeouts"] = self.timeouts
-        if self.classes:
-            payload["classes"] = list(self.classes)
         if self.summary is not None:
             payload["summary"] = self.summary.to_dict()
         return payload
@@ -98,6 +94,5 @@ class TelemetryFrame:
             shard=str(payload["shard"]),
             runs=int(payload.get("runs", 0)),
             timeouts=int(payload.get("timeouts", 0)),
-            classes=tuple(str(c) for c in payload.get("classes", ())),
             summary=summary,
         )

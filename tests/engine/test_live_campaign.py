@@ -67,6 +67,28 @@ class TestInlineParity:
         states = {row.state for row in telemetry.shards.values()}
         assert states == {"done"}
 
+    def test_systematic_plan_row_reads_done(self):
+        # The planner's pseudo-shard "plan" merges runs but is not one of
+        # the planned shards: its row must leave "running" without moving
+        # the shard counts.
+        telemetry = LiveAggregator()
+        result = run_campaign(
+            CampaignSpec(
+                factory="pc-bug",
+                mode="systematic",
+                budget=40,
+                shard_size=10,
+                workers=0,
+            ),
+            telemetry=telemetry,
+        )
+        status = telemetry.status()
+        rows = {row["shard"]: row["state"] for row in status["shard_table"]}
+        assert rows["plan"] == "done"
+        assert set(rows.values()) == {"done"}
+        assert status["shards"]["done"] == status["shards"]["total"]
+        assert result.shards_completed == result.shards_total == len(rows) - 1
+
     def test_registry_matches_build_metrics(self):
         """/metrics after close == the post-campaign --metrics-prom file."""
         from repro.obs.export import to_prometheus

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.shards import Shard
 from repro.engine.worker import (
+    RunExecutor,
     WorkerTask,
     _timed_runner,
     execute_shard,
@@ -32,12 +33,25 @@ def spin_factory(scheduler):
     return kernel
 
 
-class FakeQueue:
-    def __init__(self):
-        self.messages = []
+class FakeConn:
+    """The worker's end of its pipe: hands out ``shards``, then reads as
+    end-of-file; records every message sent back."""
 
-    def put(self, message):
+    def __init__(self, *shards):
+        self.shards = list(shards)
+        self.messages = []
+        self.closed = False
+
+    def recv(self):
+        if not self.shards:
+            raise EOFError
+        return self.shards.pop(0)
+
+    def send(self, message):
         self.messages.append(message)
+
+    def close(self):
+        self.closed = True
 
 
 def random_shard(seeds=(0, 1, 2)):
@@ -207,25 +221,73 @@ class TestExecuteShard:
 
 class TestWorkerMain:
     def test_message_protocol(self):
-        queue = FakeQueue()
-        task = WorkerTask(shard=random_shard((0, 1)), config=run_config())
-        worker_main(task, queue)
-        kinds = [m[0] for m in queue.messages]
+        conn = FakeConn(random_shard((0, 1)))
+        worker_main(conn, run_config())
+        kinds = [m[0] for m in conn.messages]
         assert kinds == ["frame", "frame", "done"]
-        assert all(m[1] == "random-test" for m in queue.messages)
+        assert all(m[1] == "random-test" for m in conn.messages)
         # frame payloads are plain dicts (picklable / JSON-able) wrapping
         # the run summary plus shard-local counters
-        first = queue.messages[0][2]
+        first = conn.messages[0][2]
         assert isinstance(first, dict)
         assert first["kind"] == "run"
         assert first["runs"] == 1
-        assert queue.messages[1][2]["runs"] == 2
+        assert conn.messages[1][2]["runs"] == 2
         assert isinstance(first["summary"], dict)
         assert "status" in first["summary"]
 
     def test_failure_reported_not_raised(self):
-        queue = FakeQueue()
         shard = Shard(shard_id="x", mode="bogus", max_runs=1)
-        worker_main(WorkerTask(shard=shard, config=run_config()), queue)
-        assert queue.messages[-1][0] == "fail"
-        assert "bogus" in queue.messages[-1][2]
+        conn = FakeConn(shard, random_shard((0,)))
+        worker_main(conn, run_config())
+        assert conn.messages[-1][0] == "fail"
+        assert "bogus" in conn.messages[-1][2]
+        # a worker that failed a shard exits: it is replaced, not reused
+        assert len(conn.shards) == 1
+
+    def test_shards_stream_through_one_executor(self, monkeypatch):
+        built = []
+
+        class CountingExecutor(RunExecutor):
+            def __init__(self, config):
+                built.append(config)
+                super().__init__(config)
+
+        monkeypatch.setattr("repro.engine.worker.RunExecutor", CountingExecutor)
+        second = Shard(
+            shard_id="random-next", mode="random", seeds=(2, 3), max_runs=2
+        )
+        conn = FakeConn(random_shard((0, 1)), second)
+        worker_main(conn, run_config())
+        assert [(m[0], m[1]) for m in conn.messages] == [
+            ("frame", "random-test"),
+            ("frame", "random-test"),
+            ("done", "random-test"),
+            ("frame", "random-next"),
+            ("frame", "random-next"),
+            ("done", "random-next"),
+        ]
+        # shard-local counters restart with every shard
+        assert conn.messages[3][2]["runs"] == 1
+        assert len(built) == 1
+
+    def test_matches_inline_shard_summaries(self):
+        conn = FakeConn(random_shard((3, 4)), random_shard((5, 6)))
+        worker_main(conn, run_config(workload="pc-bug", detect=True))
+        streamed = [m[2]["summary"] for m in conn.messages if m[0] == "frame"]
+        inline = [
+            s.to_dict()
+            for seeds in ((3, 4), (5, 6))
+            for s in execute_shard(
+                WorkerTask(
+                    shard=random_shard(seeds),
+                    config=run_config(workload="pc-bug", detect=True),
+                )
+            ).summaries
+        ]
+        assert streamed == inline
+
+    def test_closes_inherited_pipe_ends(self):
+        inherited = [FakeConn(), FakeConn()]
+        worker_main(FakeConn(), run_config(), inherited=inherited)
+        assert all(end.closed for end in inherited)

@@ -22,10 +22,14 @@ class TestConstructors:
         assert frame.timeouts == 2
         assert frame.summary is s
 
-    def test_run_frame_lifts_detected_classes(self):
+    def test_detected_classes_ride_in_the_summary_only(self):
         s = summary(detection={"classes": ["DD.AB", "LD"]})
         frame = TelemetryFrame.for_run("sh-0", s, runs=1)
-        assert frame.classes == ("DD.AB", "LD")
+        assert frame.summary.detected_classes == ("DD.AB", "LD")
+        payload = frame.to_dict()
+        assert "classes" not in payload
+        back = TelemetryFrame.from_dict(payload)
+        assert back.summary.detected_classes == ("DD.AB", "LD")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown frame kind"):
